@@ -3,7 +3,7 @@
 # experiment harness is exercised by tests, so -race guards the per-cell
 # isolation contract).
 
-.PHONY: ci test bench snapshots chaos-smoke profile-smoke tlb-smoke chain-smoke policy-smoke fleet-smoke obs-smoke par-smoke fuzz
+.PHONY: ci test bench snapshots chaos-smoke profile-smoke fastpath-smoke policy-smoke fleet-smoke obs-smoke par-smoke fuzz
 
 ci:
 	./scripts/ci.sh
@@ -26,21 +26,15 @@ profile-smoke:
 		-stats=false -profile-out /tmp/profile_smoke.folded
 	head -10 /tmp/profile_smoke.folded
 
-# Fast data-fast-path check: the TLB/superblock unit tests under -race,
-# the cheapest invariance matrix, and a small cpubench run that must
-# clear the fast-path speedup floor (scripts/ci.sh runs the full gate).
-tlb-smoke:
+# Fast execution-fast-path check: the cpu and mem unit tests under
+# -race, the invariance matrix's cheapest rows at every level plus its
+# coverage test, and a small cpubench run that must clear the 4.0x
+# raw-loop floor the full fast path sustains (scripts/ci.sh runs the
+# full gate).
+fastpath-smoke:
 	go test -race ./internal/cpu ./internal/mem -count 1
-	go test ./internal/experiments -run 'TestTLBInvariance(Microbench|SMC|Telemetry)' -count 1
-	go run ./cmd/cpubench -steps 1000000 -iters 20000 -memsweeps 200 -repeat 2 -out /tmp/tlb_smoke_BENCH_cpu.json
-
-# Fast chaining/trace check: the chain and trace unit tests under -race,
-# the cheapest chain-invariance matrix, and a cpubench run that must
-# clear the 4.0x raw-loop floor the chained fast path sustains.
-chain-smoke:
-	go test -race ./internal/cpu -run 'TestChain|TestStepBlock|TestSMC|TestDecodeCache|TestFused' -count 1
-	go test ./internal/experiments -run 'TestChainInvariance(Microbench|SMC|Telemetry)' -count 1
-	go run ./cmd/cpubench -steps 1000000 -iters 20000 -memsweeps 200 -repeat 2 -minrawloop 4.0 -out /tmp/chain_smoke_BENCH_cpu.json
+	go test ./internal/experiments -run 'Test(Cache|TLB|Chain)Invariance(Microbench|SMC|Telemetry)|TestFastPathMatrixCovers' -count 1
+	go run ./cmd/cpubench -steps 1000000 -iters 20000 -memsweeps 200 -repeat 2 -minrawloop 4.0 -out /tmp/fastpath_smoke_BENCH_cpu.json
 
 # Fast syscall-policy check: the kernel policy and seccomp-hardening
 # tests, the invariance matrix, and one attack demo per layer

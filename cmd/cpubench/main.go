@@ -3,9 +3,9 @@
 //
 //   - a raw register loop driven through StepBlock with the whole
 //     execution fast path (decode cache, superblocks, block chaining,
-//     hot traces) against a no-fast-path baseline — the chained loop's
-//     best case, a self-looping block the fused-loop handler re-runs
-//     whole iterations at a time,
+//     hot traces) against the Interp level — the chained loop's best
+//     case, a self-looping block the fused-loop handler re-runs whole
+//     iterations at a time,
 //   - the paper's microbenchmark guest running under the full simulated
 //     kernel with syscall dispatch in the loop,
 //   - a raw load/store sweep driven through StepBlock (the data fast
@@ -13,11 +13,13 @@
 //   - the MemBench guest — a memory-heavy sweep with one syscall at exit
 //     — under the full kernel.
 //
-// The microbenchmark compares the decoded-instruction cache on/off; the
-// other three compare the fast path (-tlb/-superblock/-chain/-traces)
-// against slower baselines. The run fails if the raw-loop fast-path
-// speedup falls below -minrawloop, the microbenchmark cache speedup
-// below -minspeedup, or the MemBench fast-path speedup below
+// Every workload runs its "on" mode at the -fastpath level (default
+// full). The "off" mode is the Interp level for the raw loop and the
+// microbenchmark, and the Cached level (decode cache only) for the two
+// memory workloads. The run fails if the raw-loop fast-path
+// speedup falls below -minrawloop, the microbenchmark's speedup over
+// Interp (decode cache and D-TLB together, plus the upper layers) below
+// -minspeedup, or the MemBench fast-path speedup below
 // -minfastpath, and writes BENCH_cpu.json so performance is tracked
 // across commits. The simulation is deterministic, so all modes retire
 // the same instructions and cycles; cpubench verifies that as a side
@@ -26,7 +28,7 @@
 // Usage:
 //
 //	cpubench [-steps N] [-iters N] [-memsweeps N] [-repeat N]
-//	         [-tlb] [-superblock] [-chain] [-traces]
+//	         [-fastpath full|chained|superblocks|cached|interp]
 //	         [-minrawloop X] [-minspeedup X] [-minfastpath X]
 //	         [-out BENCH_cpu.json]
 package main
@@ -55,7 +57,8 @@ type ModeResult struct {
 	SimulatedMIPS float64 `json:"simulated_mips"`
 }
 
-// WorkloadResult compares the two cache modes on one workload.
+// WorkloadResult compares the "on" mode (the -fastpath level, recorded
+// as cache_on) with Interp (recorded as cache_off) on one workload.
 type WorkloadResult struct {
 	// Instructions retired per run (identical in both modes).
 	Instructions uint64 `json:"instructions"`
@@ -70,17 +73,14 @@ type WorkloadResult struct {
 }
 
 type config struct {
-	Steps       int64   `json:"raw_loop_steps"`
-	Iters       int64   `json:"microbench_iters"`
-	MemSweeps   int64   `json:"membench_sweeps"`
-	Repeat      int     `json:"repeat"`
-	TLB         bool    `json:"tlb"`
-	Superblock  bool    `json:"superblock"`
-	Chain       bool    `json:"chain"`
-	Traces      bool    `json:"traces"`
-	MinRawLoop  float64 `json:"min_rawloop_speedup"`
-	MinSpeedup  float64 `json:"min_speedup"`
-	MinFastpath float64 `json:"min_fastpath_speedup"`
+	Steps       int64        `json:"raw_loop_steps"`
+	Iters       int64        `json:"microbench_iters"`
+	MemSweeps   int64        `json:"membench_sweeps"`
+	Repeat      int          `json:"repeat"`
+	FastPath    cpu.FastPath `json:"fastpath"`
+	MinRawLoop  float64      `json:"min_rawloop_speedup"`
+	MinSpeedup  float64      `json:"min_speedup"`
+	MinFastpath float64      `json:"min_fastpath_speedup"`
 }
 
 func main() {
@@ -88,19 +88,17 @@ func main() {
 	iters := flag.Int64("iters", 100_000, "microbenchmark guest loop iterations")
 	memSweeps := flag.Int64("memsweeps", 500, "data-segment sweeps in the memory workloads")
 	repeat := flag.Int("repeat", 3, "timed repetitions per mode (best is kept)")
-	tlb := flag.Bool("tlb", true, "enable the software D-TLB in the fast-path modes")
-	superblock := flag.Bool("superblock", true, "enable superblock execution in the fast-path modes")
-	chain := flag.Bool("chain", true, "enable block chaining in the fast-path modes")
-	traces := flag.Bool("traces", true, "enable hot-trace compilation and fused handlers in the fast-path modes")
-	minRawLoop := flag.Float64("minrawloop", 4.0, "fail if the raw-loop fast-path speedup is below this (0 disables; only sensible with the full fast path on)")
-	minSpeedup := flag.Float64("minspeedup", 1.5, "fail if the microbenchmark cache speedup is below this (0 disables)")
-	minFastpath := flag.Float64("minfastpath", 2.0, "fail if the MemBench fast-path speedup is below this (0 disables; only sensible with -tlb and -superblock)")
+	var fastPath cpu.FastPath
+	flag.Var(&fastPath, "fastpath", "fast-path level of the \"on\" modes: full, chained, superblocks, cached or interp")
+	minRawLoop := flag.Float64("minrawloop", 4.0, "fail if the raw-loop fast-path speedup is below this (0 disables; only sensible with -fastpath full)")
+	minSpeedup := flag.Float64("minspeedup", 1.5, "fail if the microbenchmark speedup of the -fastpath level over interp is below this (0 disables)")
+	minFastpath := flag.Float64("minfastpath", 2.0, "fail if the MemBench fast-path speedup is below this (0 disables; only sensible at -fastpath superblocks or above)")
 	out := flag.String("out", "BENCH_cpu.json", "machine-readable result file (empty disables)")
 	flag.Parse()
 
 	cfg := config{
 		Steps: *steps, Iters: *iters, MemSweeps: *memSweeps, Repeat: *repeat,
-		TLB: *tlb, Superblock: *superblock, Chain: *chain, Traces: *traces,
+		FastPath:   fastPath,
 		MinRawLoop: *minRawLoop, MinSpeedup: *minSpeedup, MinFastpath: *minFastpath,
 	}
 
@@ -164,22 +162,20 @@ func main() {
 
 func report(name string, w WorkloadResult) {
 	fmt.Printf("%s — %d instructions\n", name, w.Instructions)
-	fmt.Printf("  cache on   %8.2f ns/insn  %8.1f simulated MIPS\n",
+	fmt.Printf("  fastpath on  %8.2f ns/insn  %8.1f simulated MIPS\n",
 		w.CacheOn.NsPerInstruction, w.CacheOn.SimulatedMIPS)
-	fmt.Printf("  cache off  %8.2f ns/insn  %8.1f simulated MIPS\n",
+	fmt.Printf("  interp       %8.2f ns/insn  %8.1f simulated MIPS\n",
 		w.CacheOff.NsPerInstruction, w.CacheOff.SimulatedMIPS)
-	fmt.Printf("  speedup    %8.2fx   (cache: %d hits, %d misses, %d builds)\n\n",
+	fmt.Printf("  speedup      %8.2fx   (cache: %d hits, %d misses, %d builds)\n\n",
 		w.Speedup, w.DecodeCache.Hits, w.DecodeCache.Misses, w.DecodeCache.Builds)
 }
 
 // measureRawLoop drives the BenchmarkCPUStep register loop through
-// StepBlock — the whole execution fast path against a no-fast-path
-// baseline (decode cache, D-TLB, superblocks, chaining and traces all
-// off, i.e. per-instruction fetch+decode+dispatch). The loop body is a
-// two-instruction self-looping block, so with traces enabled it lands in
-// the fused-loop handler.
+// StepBlock — the -fastpath level against Interp (per-instruction
+// fetch+decode+dispatch). The loop body is a two-instruction
+// self-looping block, so at Full it lands in the fused-loop handler.
 func measureRawLoop(cfg config) (FastpathResult, error) {
-	run := func(fastpath, instrument bool) (s runSample, err error) {
+	run := func(level cpu.FastPath, instrument bool) (s runSample, err error) {
 		var e isa.Enc
 		e.MovImm64(isa.RCX, 1<<60)
 		loop := e.Len()
@@ -193,11 +189,7 @@ func measureRawLoop(cfg config) (FastpathResult, error) {
 			return s, err
 		}
 		c := cpu.New(as)
-		c.SetDecodeCache(fastpath)
-		c.SetTLB(fastpath && cfg.TLB)
-		c.SetSuperblocks(fastpath && cfg.Superblock)
-		c.SetChaining(fastpath && cfg.Chain)
-		c.SetTraces(fastpath && cfg.Traces)
+		c.SetFastPath(level)
 		c.RIP = 0x1000
 		if instrument {
 			c.Hook = func(uint64, isa.Inst) { s.insns++ }
@@ -219,16 +211,17 @@ func measureRawLoop(cfg config) (FastpathResult, error) {
 		s.trace = c.TraceStats()
 		return s, nil
 	}
-	return fastpathWorkload(cfg, run)
+	return fastpathWorkload(cfg, cpu.Interp, run)
 }
 
 // measureMicrobench runs the paper's microbenchmark guest under the full
-// kernel. The instruction count is taken from an untimed instrumented
-// run; the simulation is deterministic, so every run retires the same
-// stream.
+// kernel, at the -fastpath level (recorded as cache_on) and at Interp
+// (recorded as cache_off). The instruction count is taken from an
+// untimed instrumented run; the simulation is deterministic, so every
+// run retires the same stream.
 func measureMicrobench(cfg config) (WorkloadResult, error) {
-	run := func(useCache, instrument bool) (insns, cycles uint64, wall float64, stats cpu.DecodeCacheStats, err error) {
-		k := kernel.New(kernel.Config{DisableDecodeCache: !useCache})
+	run := func(level cpu.FastPath, instrument bool) (insns, cycles uint64, wall float64, stats cpu.DecodeCacheStats, err error) {
+		k := kernel.New(kernel.Config{FastPath: level})
 		prog, err := guest.Microbench(kernel.NonexistentSyscall, cfg.Iters)
 		if err != nil {
 			return 0, 0, 0, stats, err
@@ -251,16 +244,16 @@ func measureMicrobench(cfg config) (WorkloadResult, error) {
 		return insns, task.CPU.Cycles, wall, task.CPU.DecodeCacheStats(), nil
 	}
 
-	insns, cyclesOn, _, _, err := run(true, true)
+	insns, cyclesOn, _, _, err := run(cfg.FastPath, true)
 	if err != nil {
 		return WorkloadResult{}, err
 	}
-	best := func(useCache bool) (uint64, float64, cpu.DecodeCacheStats, error) {
+	best := func(level cpu.FastPath) (uint64, float64, cpu.DecodeCacheStats, error) {
 		bestWall := 0.0
 		var cycles uint64
 		var stats cpu.DecodeCacheStats
 		for r := 0; r < cfg.Repeat; r++ {
-			_, c, wall, s, err := run(useCache, false)
+			_, c, wall, s, err := run(level, false)
 			if err != nil {
 				return 0, 0, stats, err
 			}
@@ -271,11 +264,11 @@ func measureMicrobench(cfg config) (WorkloadResult, error) {
 		}
 		return cycles, bestWall, stats, nil
 	}
-	cyclesOn2, on, stats, err := best(true)
+	cyclesOn2, on, stats, err := best(cfg.FastPath)
 	if err != nil {
 		return WorkloadResult{}, err
 	}
-	cyclesOff, off, _, err := best(false)
+	cyclesOff, off, _, err := best(cpu.Interp)
 	if err != nil {
 		return WorkloadResult{}, err
 	}
@@ -304,8 +297,8 @@ func assemble(insns, cycles uint64, on, off float64, stats cpu.DecodeCacheStats)
 	}
 }
 
-// FastpathResult compares fast-path-on (per the -tlb/-superblock/-chain/
-// -traces toggles) against baseline execution on one workload.
+// FastpathResult compares fast-path-on (the -fastpath level) against a
+// slower level on one workload.
 type FastpathResult struct {
 	Instructions uint64     `json:"instructions"`
 	Cycles       uint64     `json:"cycles"`
@@ -393,16 +386,16 @@ func memLoopProgram(sweeps int64, pages uint64, dataBase uint64) []byte {
 }
 
 // measureMemLoop drives the raw sweep through StepBlock the way the
-// kernel does — with the fast path off, StepBlock degrades to
-// per-instruction dispatch, which is exactly the cost superblocks
-// eliminate.
+// kernel does — at the Cached level, StepBlock degrades to
+// per-instruction dispatch and every access takes the locked walk,
+// which is exactly the cost the D-TLB and superblocks eliminate.
 func measureMemLoop(cfg config) (FastpathResult, error) {
 	const (
 		codeBase = 0x1000
 		dataBase = 0x100000
 		pages    = 16
 	)
-	run := func(fastpath, instrument bool) (s runSample, err error) {
+	run := func(level cpu.FastPath, instrument bool) (s runSample, err error) {
 		as := mem.NewAddressSpace()
 		if err := as.MapFixed(codeBase, mem.PageSize, mem.ProtRX); err != nil {
 			return s, err
@@ -414,10 +407,7 @@ func measureMemLoop(cfg config) (FastpathResult, error) {
 			return s, err
 		}
 		c := cpu.New(as)
-		c.SetTLB(fastpath && cfg.TLB)
-		c.SetSuperblocks(fastpath && cfg.Superblock)
-		c.SetChaining(fastpath && cfg.Chain)
-		c.SetTraces(fastpath && cfg.Traces)
+		c.SetFastPath(level)
 		c.RIP = codeBase
 		if instrument {
 			c.Hook = func(uint64, isa.Inst) { s.insns++ }
@@ -440,18 +430,14 @@ func measureMemLoop(cfg config) (FastpathResult, error) {
 		s.trace = c.TraceStats()
 		return s, nil
 	}
-	return fastpathWorkload(cfg, run)
+	return fastpathWorkload(cfg, cpu.Cached, run)
 }
 
-// measureMemBench runs the MemBench guest under the full kernel.
+// measureMemBench runs the MemBench guest under the full kernel, at the
+// -fastpath level against Cached.
 func measureMemBench(cfg config) (FastpathResult, error) {
-	run := func(fastpath, instrument bool) (s runSample, err error) {
-		k := kernel.New(kernel.Config{
-			DisableTLB:         !(fastpath && cfg.TLB),
-			DisableSuperblocks: !(fastpath && cfg.Superblock),
-			DisableChaining:    !(fastpath && cfg.Chain),
-			DisableTraces:      !(fastpath && cfg.Traces),
-		})
+	run := func(level cpu.FastPath, instrument bool) (s runSample, err error) {
+		k := kernel.New(kernel.Config{FastPath: level})
 		prog, err := guest.MemBench(cfg.MemSweeps)
 		if err != nil {
 			return s, err
@@ -478,20 +464,21 @@ func measureMemBench(cfg config) (FastpathResult, error) {
 		s.trace = task.CPU.TraceStats()
 		return s, nil
 	}
-	return fastpathWorkload(cfg, run)
+	return fastpathWorkload(cfg, cpu.Cached, run)
 }
 
 // fastpathWorkload shares the instrument-once, best-of-repeat,
-// cycle-invariance structure between the fast-path workloads.
-func fastpathWorkload(cfg config, run func(fastpath, instrument bool) (runSample, error)) (FastpathResult, error) {
-	ref, err := run(true, true)
+// cycle-invariance structure between the fast-path workloads: the
+// -fastpath level is "on", offLevel is "off".
+func fastpathWorkload(cfg config, offLevel cpu.FastPath, run func(level cpu.FastPath, instrument bool) (runSample, error)) (FastpathResult, error) {
+	ref, err := run(cfg.FastPath, true)
 	if err != nil {
 		return FastpathResult{}, err
 	}
-	best := func(fastpath bool) (runSample, error) {
+	best := func(level cpu.FastPath) (runSample, error) {
 		var kept runSample
 		for r := 0; r < cfg.Repeat; r++ {
-			s, err := run(fastpath, false)
+			s, err := run(level, false)
 			if err != nil {
 				return kept, err
 			}
@@ -503,11 +490,11 @@ func fastpathWorkload(cfg config, run func(fastpath, instrument bool) (runSample
 		}
 		return kept, nil
 	}
-	on, err := best(true)
+	on, err := best(cfg.FastPath)
 	if err != nil {
 		return FastpathResult{}, err
 	}
-	off, err := best(false)
+	off, err := best(offLevel)
 	if err != nil {
 		return FastpathResult{}, err
 	}

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"lazypoline/internal/benchfmt"
+	"lazypoline/internal/cpu"
 	"lazypoline/internal/experiments"
 	"lazypoline/internal/guest"
 	"lazypoline/internal/otrace"
@@ -36,11 +37,8 @@ func main() {
 	servers := flag.String("servers", "nginx,lighttpd", "server styles")
 	capFactor := flag.Float64("clientcap", 10, "client capacity as a multiple of the 1-worker baseline (0 disables)")
 	parallel := flag.Int("j", experiments.DefaultParallelism(), "sweep cells measured concurrently")
-	decodeCache := flag.Bool("decodecache", true, "run the simulated CPUs with the decoded-instruction cache (results are identical either way; false re-measures without it)")
-	tlb := flag.Bool("tlb", true, "run the simulated CPUs with the software D-TLB (results are identical either way; false re-measures without it)")
-	superblock := flag.Bool("superblock", true, "run the simulated CPUs with superblock execution (results are identical either way; false re-measures without it)")
-	chain := flag.Bool("chain", true, "run the simulated CPUs with block chaining (results are identical either way; false re-measures without it)")
-	traces := flag.Bool("traces", true, "run the simulated CPUs with hot-trace compilation and fused handlers (results are identical either way; false re-measures without them)")
+	var fastPath cpu.FastPath
+	flag.Var(&fastPath, "fastpath", "simulated CPUs' fast-path level: full, chained, superblocks, cached or interp (results are identical at every level; lower levels re-measure without layers)")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "deterministic fault-injection seed (see internal/chaos)")
 	chaosRate := flag.Float64("chaos-rate", 0, "fault-injection rate in [0,1]; 0 disables chaos entirely")
 	policyRegions := flag.Bool("policy-regions", false, "enforce the privilege-region syscall policy in every cell")
@@ -54,22 +52,18 @@ func main() {
 	flag.Parse()
 
 	cfg := experiments.Figure5Config{
-		Requests:           *requests,
-		Connections:        *conns,
-		ClientCapFactor:    *capFactor,
-		Parallelism:        *parallel,
-		Mechanisms:         experiments.Figure5Mechanisms,
-		DisableDecodeCache: !*decodeCache,
-		DisableTLB:         !*tlb,
-		DisableSuperblocks: !*superblock,
-		DisableChaining:    !*chain,
-		DisableTraces:      !*traces,
-		ChaosSeed:          *chaosSeed,
-		ChaosRate:          *chaosRate,
-		PolicyRegions:      *policyRegions,
-		PolicySFIP:         *policySFIP,
-		RequestTraces:      *reqTrace,
-		Cores:              *cores,
+		Requests:        *requests,
+		Connections:     *conns,
+		ClientCapFactor: *capFactor,
+		Parallelism:     *parallel,
+		Mechanisms:      experiments.Figure5Mechanisms,
+		FastPath:        fastPath,
+		ChaosSeed:       *chaosSeed,
+		ChaosRate:       *chaosRate,
+		PolicyRegions:   *policyRegions,
+		PolicySFIP:      *policySFIP,
+		RequestTraces:   *reqTrace,
+		Cores:           *cores,
 	}
 	var err error
 	if cfg.FileSizes, err = parseInts(*sizes); err != nil {

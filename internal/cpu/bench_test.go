@@ -63,7 +63,7 @@ func BenchmarkStepMemoryOps(b *testing.B) {
 
 // stepLoopCPU builds the register-only loop used to compare cached and
 // uncached execution.
-func stepLoopCPU(b *testing.B, cache bool) *CPU {
+func stepLoopCPU(b *testing.B, level FastPath) *CPU {
 	b.Helper()
 	var e isa.Enc
 	e.MovImm64(isa.RCX, 1<<60)
@@ -78,7 +78,7 @@ func stepLoopCPU(b *testing.B, cache bool) *CPU {
 		b.Fatal(err)
 	}
 	c := New(as)
-	c.SetDecodeCache(cache)
+	c.SetFastPath(level)
 	c.RIP = 0x1000
 	return c
 }
@@ -89,10 +89,10 @@ func stepLoopCPU(b *testing.B, cache bool) *CPU {
 func BenchmarkCPUStep(b *testing.B) {
 	for _, tt := range []struct {
 		name  string
-		cache bool
-	}{{"cache", true}, {"nocache", false}} {
+		level FastPath
+	}{{"cache", Full}, {"nocache", Interp}} {
 		b.Run(tt.name, func(b *testing.B) {
-			c := stepLoopCPU(b, tt.cache)
+			c := stepLoopCPU(b, tt.level)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if ev := c.Step(); ev != EvNone {
@@ -108,7 +108,7 @@ func BenchmarkCPUStep(b *testing.B) {
 // an invalidating write.
 func BenchmarkDecodeCache(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
-		c := stepLoopCPU(b, true)
+		c := stepLoopCPU(b, Full)
 		for i := 0; i < 8; i++ { // warm the blocks
 			c.Step()
 		}
@@ -118,7 +118,7 @@ func BenchmarkDecodeCache(b *testing.B) {
 		}
 	})
 	b.Run("revalidate", func(b *testing.B) {
-		c := stepLoopCPU(b, true)
+		c := stepLoopCPU(b, Full)
 		// A second executable page mutated each iteration: every Step sees
 		// a changed mutation counter and must revalidate its block's pages.
 		if err := c.AS.MapFixed(0x9000, mem.PageSize, mem.ProtRWX); err != nil {
@@ -137,7 +137,7 @@ func BenchmarkDecodeCache(b *testing.B) {
 		}
 	})
 	b.Run("rebuild", func(b *testing.B) {
-		c := stepLoopCPU(b, true)
+		c := stepLoopCPU(b, Full)
 		for i := 0; i < 8; i++ {
 			c.Step()
 		}

@@ -33,22 +33,11 @@ type ChainStats struct {
 	Transitions uint64
 }
 
-// SetChaining enables or disables block chaining. Chaining rides on
-// superblock execution; disabling superblocks or the decode cache makes
-// this toggle inert (see ChainingEnabled).
-func (c *CPU) SetChaining(on bool) { c.chaining = on }
-
-// ChainingEnabled reports whether chained block→block execution is
-// effective — the toggle is on AND the layers it depends on are live.
-func (c *CPU) ChainingEnabled() bool {
-	return c.chaining && c.SuperblocksEnabled()
-}
-
-// ChainStats returns a snapshot of the chaining counters, surviving
-// decode-cache toggles the same way DecodeCacheStats does.
+// ChainStats returns a snapshot of the chaining counters (zero below
+// Chained).
 func (c *CPU) ChainStats() ChainStats {
 	if c.cache == nil {
-		return c.savedChainStats
+		return ChainStats{}
 	}
 	return c.cache.cstats
 }
@@ -200,10 +189,11 @@ func (c *CPU) runChained(max uint64, steps *uint64, pre *uint64) (Event, bool) {
 			}
 			mut = dc.as.CodeMutations()
 		}
-		if dc.curIdx < len(b.pcs) || !c.chaining {
+		if dc.curIdx < len(b.pcs) || c.fast > Chained {
 			// Left the straight line early (taken branch with no chance to
-			// chain from here — the block isn't finished), or chaining off:
-			// let the dispatcher look the target up and plant the link.
+			// chain from here — the block isn't finished), or no chaining at
+			// this level: let the dispatcher look the target up (and plant
+			// the link).
 			break
 		}
 		// b finished. Try the chained successor for the live RIP.
@@ -231,7 +221,7 @@ func (c *CPU) runChained(max uint64, steps *uint64, pre *uint64) (Event, bool) {
 		// fused idiom handlers. Both bail to normal chained execution when
 		// preconditions fail, leaving (cur, curIdx) at the exact resume
 		// position.
-		if c.traces && c.Hook == nil {
+		if c.fast == Full && c.Hook == nil {
 			if ev, done := c.runSpecialized(b, max, steps, pre); done {
 				if *steps > entered {
 					c.SuperblockRuns++

@@ -48,16 +48,14 @@ func selfLoopProgram(iters int64) []byte {
 	return e.Buf
 }
 
-// TestChainToggleCombinations: every {cache, superblock, chain, traces}
-// combination must (a) report effective state from the getters — a layer
-// is only "enabled" if everything it rides on is live — and (b) execute
-// identically to the everything-off reference.
+// TestChainToggleCombinations: each of the 16 {cache, superblock, chain,
+// traces} switch combinations the CPU used to accept runs at the level it
+// effectively selected — a layer only ran when everything beneath it was
+// on — must execute identically to the Interp reference, and must engage
+// exactly the layers its level includes.
 func TestChainToggleCombinations(t *testing.T) {
 	ref := load(t, chainedProgram())
-	ref.SetDecodeCache(false)
-	ref.SetSuperblocks(false)
-	ref.SetChaining(false)
-	ref.SetTraces(false)
+	ref.SetFastPath(Interp)
 	if ev := run(t, ref, 50000); ev != EvSyscall {
 		t.Fatalf("ref event = %v (fault: %v)", ev, ref.FaultErr)
 	}
@@ -66,53 +64,52 @@ func TestChainToggleCombinations(t *testing.T) {
 		superblock := i&2 != 0
 		chain := i&4 != 0
 		traces := i&8 != 0
+		level := Full
+		switch {
+		case !cache:
+			level = Interp
+		case !superblock:
+			level = Cached
+		case !chain:
+			level = Superblocks
+		case !traces:
+			level = Chained
+		}
 		name := fmt.Sprintf("cache=%v,superblock=%v,chain=%v,traces=%v", cache, superblock, chain, traces)
 		t.Run(name, func(t *testing.T) {
 			c := load(t, chainedProgram())
-			c.SetDecodeCache(cache)
-			c.SetSuperblocks(superblock)
-			c.SetChaining(chain)
-			c.SetTraces(traces)
-
-			if got := c.DecodeCacheEnabled(); got != cache {
-				t.Errorf("DecodeCacheEnabled() = %v, want %v", got, cache)
-			}
-			wantSB := superblock && cache
-			if got := c.SuperblocksEnabled(); got != wantSB {
-				t.Errorf("SuperblocksEnabled() = %v, want %v (effective state)", got, wantSB)
-			}
-			wantChain := chain && wantSB
-			if got := c.ChainingEnabled(); got != wantChain {
-				t.Errorf("ChainingEnabled() = %v, want %v (effective state)", got, wantChain)
-			}
-			wantTraces := traces && wantChain
-			if got := c.TracesEnabled(); got != wantTraces {
-				t.Errorf("TracesEnabled() = %v, want %v (effective state)", got, wantTraces)
-			}
-
+			c.SetFastPath(level)
 			if ev := runBlocks(t, c, 1<<20, 50000); ev != EvSyscall {
 				t.Fatalf("event = %v (fault: %v)", ev, c.FaultErr)
 			}
 			if c.Cycles != ref.Cycles {
-				t.Errorf("cycles = %d, want %d", c.Cycles, ref.Cycles)
+				t.Errorf("%v: cycles = %d, want %d", level, c.Cycles, ref.Cycles)
 			}
 			if c.Regs != ref.Regs {
-				t.Error("register files differ from reference")
+				t.Errorf("%v: register files differ from reference", level)
 			}
-			// Counters must reflect effective state, not just the toggles.
-			cs := c.ChainStats()
-			if wantChain && cs.Transitions == 0 {
-				t.Error("chaining effective but zero chained transitions (vacuous)")
+			// Each layer must have done work exactly when the level has it.
+			for _, l := range []struct {
+				name    string
+				on      bool
+				work    bool
+				counter any
+			}{
+				{"decode cache", level <= Cached, c.DecodeCacheStats().Hits > 0, c.DecodeCacheStats()},
+				{"D-TLB", level <= Superblocks, c.TLBStats().Hits > 0, c.TLBStats()},
+				{"superblocks", level <= Superblocks, c.SuperblockInsts > 0, c.SuperblockInsts},
+				{"chaining", level <= Chained, c.ChainStats().Transitions > 0, c.ChainStats()},
+				{"traces", level == Full, c.TraceStats().Promotions > 0, c.TraceStats()},
+			} {
+				if l.on != l.work {
+					t.Errorf("%v: %s on=%v but did work=%v: %+v", level, l.name, l.on, l.work, l.counter)
+				}
 			}
-			if !wantChain && cs != (ChainStats{}) {
-				t.Errorf("chaining ineffective but counters advanced: %+v", cs)
+			if level > Chained && c.ChainStats() != (ChainStats{}) {
+				t.Errorf("%v: chaining counters advanced: %+v", level, c.ChainStats())
 			}
-			ts := c.TraceStats()
-			if wantTraces && ts.Promotions == 0 {
-				t.Error("traces effective but zero promotions (vacuous)")
-			}
-			if !wantTraces && ts != (TraceStats{}) {
-				t.Errorf("traces ineffective but counters advanced: %+v", ts)
+			if level > Full && c.TraceStats() != (TraceStats{}) {
+				t.Errorf("%v: trace counters advanced: %+v", level, c.TraceStats())
 			}
 		})
 	}
@@ -149,8 +146,7 @@ func TestFusedLoopCountsWork(t *testing.T) {
 		t.Errorf("fused loop did no work: %+v", ts)
 	}
 	ref := load(t, selfLoopProgram(500))
-	ref.SetDecodeCache(false)
-	ref.SetSuperblocks(false)
+	ref.SetFastPath(Interp)
 	if ev := run(t, ref, 50000); ev != EvSyscall {
 		t.Fatalf("ref event = %v", ev)
 	}
@@ -173,10 +169,9 @@ func TestStepBlockBoundaryAcrossChaining(t *testing.T) {
 		cycles uint64
 		rip    uint64
 	}
-	exec := func(chain, traces bool, max uint64) []call {
+	exec := func(level FastPath, max uint64) []call {
 		c := load(t, chainedProgram())
-		c.SetChaining(chain)
-		c.SetTraces(traces)
+		c.SetFastPath(level)
 		var calls []call
 		for i := 0; i < 50000; i++ {
 			ev, steps, pre := c.StepBlock(max)
@@ -192,21 +187,15 @@ func TestStepBlockBoundaryAcrossChaining(t *testing.T) {
 		return nil
 	}
 	for _, max := range []uint64{1, 2, 3, 5, 7, 8, 9, 64, 1 << 20} {
-		ref := exec(false, false, max)
-		for _, mode := range []struct {
-			name          string
-			chain, traces bool
-		}{
-			{"chain", true, false},
-			{"chain+traces", true, true},
-		} {
-			got := exec(mode.chain, mode.traces, max)
+		ref := exec(Superblocks, max)
+		for _, level := range []FastPath{Chained, Full} {
+			got := exec(level, max)
 			if len(got) != len(ref) {
-				t.Fatalf("max %d %s: %d StepBlock calls, want %d", max, mode.name, len(got), len(ref))
+				t.Fatalf("max %d %v: %d StepBlock calls, want %d", max, level, len(got), len(ref))
 			}
 			for i := range got {
 				if got[i] != ref[i] {
-					t.Fatalf("max %d %s: call %d = %+v, want %+v", max, mode.name, i, got[i], ref[i])
+					t.Fatalf("max %d %v: call %d = %+v, want %+v", max, level, i, got[i], ref[i])
 				}
 			}
 		}
@@ -226,7 +215,9 @@ func TestStepBlockEventAtBudgetBoundary(t *testing.T) {
 	for _, chain := range []bool{true, false} {
 		t.Run(fmt.Sprintf("chain=%v", chain), func(t *testing.T) {
 			c := load(t, e.Buf)
-			c.SetChaining(chain)
+			if !chain {
+				c.SetFastPath(Superblocks)
+			}
 			// Warm the cache and the chain link, then rerun the same code.
 			ev, steps, _ := c.StepBlock(100)
 			if ev != EvSyscall || steps != 4 {
@@ -377,57 +368,6 @@ func TestSMCGuestStoreThroughChain(t *testing.T) {
 	// iterations 5-10 add 2.
 	if want := uint64(4 + 2*(iters-4)); c.Regs[isa.RSI] != want {
 		t.Errorf("rsi = %d, want %d (stale chained block after guest store)", c.Regs[isa.RSI], want)
-	}
-}
-
-// TestDecodeCacheStatsSurviveToggle pins the counter-lifetime semantics:
-// SetDecodeCache(false) then (true) must preserve the cumulative
-// DecodeCacheStats/ChainStats/TraceStats rather than silently zeroing
-// them mid-run, while a cache disabled from birth still reports zeros.
-func TestDecodeCacheStatsSurviveToggle(t *testing.T) {
-	c := load(t, chainedProgram())
-	var retired uint64
-	for retired < 600 {
-		ev, n, _ := c.StepBlock(600 - retired)
-		if ev != EvNone {
-			t.Fatalf("event = %v (fault: %v)", ev, c.FaultErr)
-		}
-		retired += n
-	}
-	mid, midChain, midTrace := c.DecodeCacheStats(), c.ChainStats(), c.TraceStats()
-	if mid.Hits == 0 || midChain.Transitions == 0 {
-		t.Fatalf("warmup did no cached work: %+v %+v", mid, midChain)
-	}
-
-	c.SetDecodeCache(false)
-	if got := c.DecodeCacheStats(); got != mid {
-		t.Errorf("stats after disable = %+v, want preserved %+v", got, mid)
-	}
-	if got := c.ChainStats(); got != midChain {
-		t.Errorf("chain stats after disable = %+v, want preserved %+v", got, midChain)
-	}
-	if got := c.TraceStats(); got != midTrace {
-		t.Errorf("trace stats after disable = %+v, want preserved %+v", got, midTrace)
-	}
-
-	// Uncached execution must not advance the preserved counters.
-	if ev, _, _ := c.StepBlock(60); ev != EvNone {
-		t.Fatalf("uncached stretch hit event %v", ev)
-	}
-	if got := c.DecodeCacheStats(); got != mid {
-		t.Errorf("stats advanced while disabled: %+v vs %+v", got, mid)
-	}
-
-	c.SetDecodeCache(true)
-	if ev := runBlocks(t, c, 1<<20, 100); ev != EvSyscall {
-		t.Fatalf("event = %v (fault: %v)", ev, c.FaultErr)
-	}
-	fin := c.DecodeCacheStats()
-	if fin.Hits <= mid.Hits || fin.Builds < mid.Builds {
-		t.Errorf("re-enabled stats did not continue from preserved values: %+v vs %+v", fin, mid)
-	}
-	if got := c.ChainStats(); got.Transitions < midChain.Transitions {
-		t.Errorf("chain stats restarted: %+v vs %+v", got, midChain)
 	}
 }
 

@@ -181,37 +181,21 @@ type CPU struct {
 	SuperblockRuns  uint64
 	SuperblockInsts uint64
 
-	nopAccum   uint64
-	fetchBuf   [16]byte
-	cache      *decodeCache
-	tlb        *dtlb
-	superblock bool
-	chaining   bool
-	traces     bool
-
-	// savedCacheStats/savedChainStats/savedTraceStats hold the cumulative
-	// counters across SetDecodeCache(false)/(true) toggles, so a mid-run
-	// toggle cannot silently zero a harness's per-cell stats.
-	savedCacheStats DecodeCacheStats
-	savedChainStats ChainStats
-	savedTraceStats TraceStats
+	nopAccum uint64
+	fetchBuf [16]byte
+	fast     FastPath
+	cache    *decodeCache // nil at Interp
+	tlb      *dtlb        // nil at Cached and Interp
 }
 
-// New returns a CPU bound to an address space with default costs. The
-// whole execution fast path is enabled — decoded-instruction cache,
-// software D-TLB, superblock execution, block chaining and hot traces;
-// SetDecodeCache(false), SetTLB(false), SetSuperblocks(false),
-// SetChaining(false) and SetTraces(false) turn the layers off
-// individually.
+// New returns a CPU bound to an address space with default costs and the
+// Full fast path; SetFastPath selects a lower level.
 func New(as *mem.AddressSpace) *CPU {
 	return &CPU{
-		AS:         as,
-		Costs:      DefaultCosts(),
-		cache:      newDecodeCache(as),
-		tlb:        newDTLB(as),
-		superblock: true,
-		chaining:   true,
-		traces:     true,
+		AS:    as,
+		Costs: DefaultCosts(),
+		cache: newDecodeCache(as),
+		tlb:   newDTLB(as),
 	}
 }
 

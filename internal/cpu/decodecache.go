@@ -78,10 +78,7 @@ type predLink struct {
 }
 
 // DecodeCacheStats counts decode-cache activity, exposed for tests and the
-// cpubench tool. Counters are cumulative for the CPU's lifetime: toggling
-// the cache off and back on (SetDecodeCache) preserves them, so long-run
-// harnesses that re-measure cold-start behaviour mid-run cannot
-// under-report (the macrobench per-cell stats rely on this).
+// cpubench tool. Counters are cumulative for the CPU's lifetime.
 type DecodeCacheStats struct {
 	// Hits are Steps served from a cached block.
 	Hits uint64
@@ -126,34 +123,6 @@ func newDecodeCache(as *mem.AddressSpace) *decodeCache {
 	return &decodeCache{as: as, blocks: make(map[uint64]*cachedBlock)}
 }
 
-// SetDecodeCache enables or disables the decoded-instruction cache. The
-// cache is semantically invisible — events, traces, faults and cycle
-// counts are identical either way — so disabling it is only useful for
-// differential testing and for measuring the cache itself.
-//
-// Counter lifetimes: disabling stashes the cache's cumulative counters
-// and re-enabling restores them, so DecodeCacheStats / ChainStats /
-// TraceStats report per-CPU totals across toggles rather than silently
-// restarting from zero mid-run.
-func (c *CPU) SetDecodeCache(on bool) {
-	switch {
-	case on && c.cache == nil:
-		dc := newDecodeCache(c.AS)
-		dc.stats = c.savedCacheStats
-		dc.cstats = c.savedChainStats
-		dc.tstats = c.savedTraceStats
-		c.cache = dc
-	case !on && c.cache != nil:
-		c.savedCacheStats = c.cache.stats
-		c.savedChainStats = c.cache.cstats
-		c.savedTraceStats = c.cache.tstats
-		c.cache = nil
-	}
-}
-
-// DecodeCacheEnabled reports whether the decoded-instruction cache is on.
-func (c *CPU) DecodeCacheEnabled() bool { return c.cache != nil }
-
 // InvalidateDecodeCache discards every cached block. Correctness never
 // requires calling it — generation validation catches every code
 // mutation — but it is useful to re-measure cold-start behaviour.
@@ -163,18 +132,18 @@ func (c *CPU) InvalidateDecodeCache() {
 	}
 }
 
-// DecodeCacheStats returns a snapshot of the cache counters. With the
-// cache toggled off it returns the totals accumulated up to the toggle.
+// DecodeCacheStats returns a snapshot of the cache counters (zero at
+// Interp).
 func (c *CPU) DecodeCacheStats() DecodeCacheStats {
 	if c.cache == nil {
-		return c.savedCacheStats
+		return DecodeCacheStats{}
 	}
 	return c.cache.stats
 }
 
 // cachedInst returns the decoded instruction at pc if a validated cached
 // block covers it, building a new block on miss. nil means the caller
-// must use the uncached fetch+decode path (cache disabled, or the bytes
+// must use the uncached fetch+decode path (Interp, or the bytes
 // at pc do not decode into at least one instruction).
 func (c *CPU) cachedInst(pc uint64) *isa.Inst {
 	dc := c.cache
@@ -202,7 +171,7 @@ func (c *CPU) cachedInst(pc uint64) *isa.Inst {
 	// just transferred control to pc (if the previous position was
 	// exactly a completed block).
 	var prev *cachedBlock
-	if c.chaining && c.superblock {
+	if c.fast <= Chained {
 		if p := dc.cur; p != nil && !p.dropped && dc.curIdx == len(p.pcs) {
 			prev = p
 		}

@@ -56,10 +56,10 @@ func smcProgram(t *testing.T) []byte {
 }
 
 func TestSelfModifyingCodeDirectStore(t *testing.T) {
-	for _, cache := range []bool{true, false} {
-		t.Run(fmt.Sprintf("cache=%v", cache), func(t *testing.T) {
+	for _, level := range []FastPath{Full, Interp} {
+		t.Run(fmt.Sprintf("cache=%v", level == Full), func(t *testing.T) {
 			c := loadProt(t, smcProgram(t), mem.ProtRWX)
-			c.SetDecodeCache(cache)
+			c.SetFastPath(level)
 			if ev := run(t, c, 100); ev != EvHlt {
 				t.Fatalf("event = %v (fault: %v)", ev, c.FaultErr)
 			}
@@ -261,9 +261,9 @@ func TestDecodeCacheInvisible(t *testing.T) {
 		regs   [isa.NumRegs]uint64
 		stats  DecodeCacheStats
 	}
-	exec := func(cache bool) result {
+	exec := func(level FastPath) result {
 		c := load(t, build())
-		c.SetDecodeCache(cache)
+		c.SetFastPath(level)
 		var r result
 		c.Hook = func(pc uint64, in isa.Inst) {
 			r.trace = append(r.trace, fmt.Sprintf("%#x %s", pc, in))
@@ -274,7 +274,7 @@ func TestDecodeCacheInvisible(t *testing.T) {
 		r.cycles, r.regs, r.stats = c.Cycles, c.Regs, c.DecodeCacheStats()
 		return r
 	}
-	on, off := exec(true), exec(false)
+	on, off := exec(Full), exec(Interp)
 	if len(on.trace) != len(off.trace) {
 		t.Fatalf("trace lengths differ: %d cached vs %d uncached", len(on.trace), len(off.trace))
 	}
@@ -336,8 +336,8 @@ func TestUncachedTailFetchFaultAddress(t *testing.T) {
 	// A mov64 whose encoding runs off the end of the last executable page
 	// must fault as an exec page fault at the first unfetchable byte —
 	// not as an illegal instruction at pc, and not at a retried width.
-	for _, cache := range []bool{true, false} {
-		t.Run(fmt.Sprintf("cache=%v", cache), func(t *testing.T) {
+	for _, level := range []FastPath{Full, Interp} {
+		t.Run(fmt.Sprintf("cache=%v", level == Full), func(t *testing.T) {
 			as := mem.NewAddressSpace()
 			if err := as.MapFixed(0x1000, mem.PageSize, mem.ProtRX); err != nil {
 				t.Fatal(err)
@@ -349,7 +349,7 @@ func TestUncachedTailFetchFaultAddress(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := New(as)
-			c.SetDecodeCache(cache)
+			c.SetFastPath(level)
 			c.RIP = start
 			if ev := c.Step(); ev != EvFault {
 				t.Fatalf("event = %v, want fault", ev)

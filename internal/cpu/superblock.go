@@ -17,17 +17,6 @@ package cpu
 // no trust: they are routing shortcuts whose targets get the identical
 // validation.
 
-// SetSuperblocks enables or disables superblock execution. Like the
-// decode cache and the D-TLB it is semantically invisible, so turning it
-// off only exists for differential testing and measurement.
-func (c *CPU) SetSuperblocks(on bool) { c.superblock = on }
-
-// SuperblocksEnabled reports whether superblock execution is effective.
-// The batching loop needs the decode cache's block bodies to run, so
-// with the cache off this reports false even when the superblock toggle
-// itself is on — reported config always reflects effective state.
-func (c *CPU) SuperblocksEnabled() bool { return c.superblock && c.cache != nil }
-
 // StepBlock executes up to max instructions, stopping early at the first
 // non-EvNone event. It returns the event (EvNone means the budget was
 // exhausted without one), the number of instructions retired, and the
@@ -47,7 +36,7 @@ func (c *CPU) StepBlock(max uint64) (Event, uint64, uint64) {
 	if max == 0 {
 		return EvNone, 0, c.Cycles
 	}
-	if !c.superblock || c.cache == nil {
+	if c.fast > Superblocks {
 		pre := c.Cycles
 		return c.Step(), 1, pre
 	}

@@ -146,22 +146,21 @@ func TestStepBlockSelfModifyingCode(t *testing.T) {
 	}
 }
 
-// TestStepBlockDisabledFallsBack: with superblocks (or the decode cache)
-// off, StepBlock degrades to single-instruction batches with identical
-// results, and the superblock counters stay untouched.
+// TestStepBlockDisabledFallsBack: below the Superblocks level (Cached
+// keeps the decode cache, Interp drops it too), StepBlock degrades to
+// single-instruction batches with identical results, and the superblock
+// counters stay untouched.
 func TestStepBlockDisabledFallsBack(t *testing.T) {
 	for _, mode := range []struct {
-		name              string
-		cache, superblock bool
+		name  string
+		level FastPath
 	}{
-		{"no-superblock", true, false},
-		{"no-cache", false, true},
-		{"neither", false, false},
+		{"no-superblock", Cached},
+		{"no-cache", Interp},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			c := load(t, mixedProgram())
-			c.SetDecodeCache(mode.cache)
-			c.SetSuperblocks(mode.superblock)
+			c.SetFastPath(mode.level)
 			ref := load(t, mixedProgram())
 			if ev := run(t, ref, 5000); ev != EvSyscall {
 				t.Fatalf("ref event = %v", ev)
@@ -174,7 +173,7 @@ func TestStepBlockDisabledFallsBack(t *testing.T) {
 				if ev != EvNone {
 					t.Fatalf("event = %v (fault: %v)", ev, c.FaultErr)
 				}
-				if (!mode.cache || !mode.superblock) && steps != 1 {
+				if steps != 1 {
 					t.Fatalf("fallback batch retired %d instructions, want 1", steps)
 				}
 			}

@@ -50,23 +50,8 @@ func newDTLB(as *mem.AddressSpace) *dtlb {
 	return &dtlb{as: as}
 }
 
-// SetTLB enables or disables the software D-TLB. Like the decode cache it
-// is semantically invisible — faults, traces and cycle counts are
-// identical either way — so disabling it only exists for differential
-// testing and for measuring the TLB itself.
-func (c *CPU) SetTLB(on bool) {
-	switch {
-	case on && c.tlb == nil:
-		c.tlb = newDTLB(c.AS)
-	case !on:
-		c.tlb = nil
-	}
-}
-
-// TLBEnabled reports whether the software D-TLB is on.
-func (c *CPU) TLBEnabled() bool { return c.tlb != nil }
-
-// TLBStats returns a snapshot of the TLB counters.
+// TLBStats returns a snapshot of the TLB counters (zero at Cached and
+// Interp).
 func (c *CPU) TLBStats() TLBStats {
 	if c.tlb == nil {
 		return TLBStats{}
@@ -91,10 +76,10 @@ func (d *dtlb) reset(as *mem.AddressSpace) {
 
 // lookup returns a handle for an n-byte data access at addr that lies
 // entirely within one page, or nil when the caller must take the locked
-// slow path (TLB off, page-crossing access, unmapped page, insufficient
-// protection, pkey denial, or a write to an executable page). The slow
-// path re-derives any fault with its proper address and accounting, so
-// lookup never needs to construct one.
+// slow path (no TLB at this level, page-crossing access, unmapped page,
+// insufficient protection, pkey denial, or a write to an executable
+// page). The slow path re-derives any fault with its proper address and
+// accounting, so lookup never needs to construct one.
 func (c *CPU) lookup(addr uint64, n int, write bool) *mem.PageHandle {
 	d := c.tlb
 	if d == nil {

@@ -36,7 +36,9 @@ func TestTLBServesHitsAndIsOffWhenDisabled(t *testing.T) {
 			e.Jnz(int64(loop) - int64(e.Len()) - 5)
 			e.Hlt()
 			c := load(t, e.Buf)
-			c.SetTLB(tlb)
+			if !tlb {
+				c.SetFastPath(Cached)
+			}
 			if ev := run(t, c, 10_000); ev != EvHlt {
 				t.Fatalf("event = %v (fault: %v)", ev, c.FaultErr)
 			}

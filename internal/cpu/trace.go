@@ -58,21 +58,10 @@ type TraceStats struct {
 	FusedNopInsts  uint64
 }
 
-// SetTraces enables or disables hot-trace compilation and the fused
-// idiom handlers. Traces ride on chaining; see TracesEnabled.
-func (c *CPU) SetTraces(on bool) { c.traces = on }
-
-// TracesEnabled reports whether trace execution is effective — the
-// toggle is on AND chaining (and everything under it) is live.
-func (c *CPU) TracesEnabled() bool {
-	return c.traces && c.ChainingEnabled()
-}
-
-// TraceStats returns a snapshot of the trace counters, surviving
-// decode-cache toggles the same way DecodeCacheStats does.
+// TraceStats returns a snapshot of the trace counters (zero below Full).
 func (c *CPU) TraceStats() TraceStats {
 	if c.cache == nil {
-		return c.savedTraceStats
+		return TraceStats{}
 	}
 	return c.cache.tstats
 }

@@ -23,7 +23,6 @@ package experiments
 
 import (
 	"sort"
-	"strings"
 	"testing"
 
 	"lazypoline/internal/guest"
@@ -61,8 +60,8 @@ func chaosCoreutilRun(t *testing.T, name, mech string, cfg kernel.Config) (runOu
 			t.Fatal(err)
 		}
 	}
-	var ground strings.Builder
-	k.OnDispatch = groundHook(&ground)
+	var ground groundTruth
+	k.OnDispatch = ground.hook
 	prog, err := guest.Coreutil(name, guest.LibcUbuntu2004(false))
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +80,7 @@ func chaosCoreutilRun(t *testing.T, name, mech string, cfg kernel.Config) (runOu
 	if task.ExitCode != 0 {
 		t.Fatalf("%s under %s exited %d (guest not chaos-hardened?)", name, mech, task.ExitCode)
 	}
-	return finishOutcome(k, task, &ground, rec), task
+	return finishOutcome(task, &ground, rec), task
 }
 
 // TestChaosInvarianceZeroRateMatchesDisabled: a zero-rate chaos config

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"lazypoline/internal/cpu"
 	"lazypoline/internal/guest"
 	"lazypoline/internal/kernel"
 	"lazypoline/internal/otrace"
@@ -62,25 +63,16 @@ type Figure5Config struct {
 	// default). CostModel is a value type: each cell's kernel receives
 	// its own copy.
 	Costs kernel.CostModel
-	// DisableDecodeCache turns off every cell's decoded-instruction
-	// cache. The sweep's points are byte-identical either way; the CI
-	// determinism check runs a small sweep in both modes to enforce that.
-	// It selects execution machinery rather than an experiment parameter,
-	// so it is excluded from BENCH_figure5.json — cache-on and cache-off
-	// runs must produce identical snapshots (modulo wall_seconds).
-	DisableDecodeCache bool `json:"-"`
-	// DisableTLB and DisableSuperblocks turn off the data-path fast path
-	// (software D-TLB, superblock execution) in every cell. Like
-	// DisableDecodeCache they select execution machinery, are excluded
-	// from snapshots, and must not change a single point.
-	DisableTLB         bool `json:"-"`
-	DisableSuperblocks bool `json:"-"`
-	// DisableChaining and DisableTraces switch off the block-chaining and
-	// hot-trace layers; excluded from the snapshot for the same reason.
-	DisableChaining bool `json:"-"`
-	DisableTraces   bool `json:"-"`
+	// FastPath selects every cell's execution fast path (zero = the
+	// whole fast path). The sweep's points are byte-identical at every
+	// level; the CI determinism check runs a small sweep at each one to
+	// enforce that. It selects execution machinery rather than an
+	// experiment parameter, so it is excluded from BENCH_figure5.json —
+	// runs at different levels must produce identical snapshots (modulo
+	// wall_seconds).
+	FastPath cpu.FastPath `json:"-"`
 	// ChaosSeed and ChaosRate enable deterministic fault injection in
-	// every cell (see internal/chaos). Unlike DisableDecodeCache these
+	// every cell (see internal/chaos). Unlike FastPath these
 	// ARE experiment parameters — injected faults change throughput — so
 	// they stay JSON-visible and land in benchmark snapshots.
 	ChaosSeed uint64  `json:"chaos_seed,omitempty"`
@@ -206,22 +198,18 @@ func figure5Run(cfg Figure5Config, withMetrics bool) ([]Figure5Point, []Figure5C
 			sink = &telemetry.Sink{Metrics: telemetry.NewRegistry()}
 		}
 		wcfg := webbench.Config{
-			Style:              c.server,
-			Workers:            c.workers,
-			FileSize:           c.fileSize,
-			Connections:        cfg.Connections,
-			Requests:           cfg.Requests,
-			Attach:             AttachFunc(c.mech),
-			Costs:              cfg.Costs,
-			DisableDecodeCache: cfg.DisableDecodeCache,
-			DisableTLB:         cfg.DisableTLB,
-			DisableSuperblocks: cfg.DisableSuperblocks,
-			DisableChaining:    cfg.DisableChaining,
-			DisableTraces:      cfg.DisableTraces,
-			ChaosSeed:          cfg.ChaosSeed,
-			ChaosRate:          cfg.ChaosRate,
-			Telemetry:          sink,
-			Cores:              cfg.Cores,
+			Style:       c.server,
+			Workers:     c.workers,
+			FileSize:    c.fileSize,
+			Connections: cfg.Connections,
+			Requests:    cfg.Requests,
+			Attach:      AttachFunc(c.mech),
+			Costs:       cfg.Costs,
+			FastPath:    cfg.FastPath,
+			ChaosSeed:   cfg.ChaosSeed,
+			ChaosRate:   cfg.ChaosRate,
+			Telemetry:   sink,
+			Cores:       cfg.Cores,
 		}
 		if cfg.RequestTraces {
 			wcfg.Trace = otrace.New(otrace.Config{})

@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
+	"lazypoline/internal/cpu"
 	"lazypoline/internal/guest"
 	"lazypoline/internal/kernel"
 	"lazypoline/internal/policy"
@@ -72,8 +72,8 @@ func spawnCat(k *kernel.Kernel) (*kernel.Task, error) {
 func runPolicyGuest(t *testing.T, mech string, cfg kernel.Config, spawn func(*kernel.Kernel) (*kernel.Task, error)) (runOutcome, *kernel.Task) {
 	t.Helper()
 	k := kernel.New(cfg)
-	var ground strings.Builder
-	k.OnDispatch = groundHook(&ground)
+	var ground groundTruth
+	k.OnDispatch = ground.hook
 	task, err := spawn(k)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func runPolicyGuest(t *testing.T, mech string, cfg kernel.Config, spawn func(*ke
 	if err := k.Run(-1); err != nil {
 		t.Fatal(err)
 	}
-	return finishOutcome(k, task, &ground, rec), task
+	return finishOutcome(task, &ground, rec), task
 }
 
 // TestPolicyInvarianceOff: Policy nil vs &PolicyConfig{} (all layers
@@ -109,7 +109,7 @@ func TestPolicyInvarianceOff(t *testing.T) {
 		{"default", func(*kernel.Config) {}},
 		{"chaos", func(c *kernel.Config) { c.ChaosSeed, c.ChaosRate = 7, 0.3 }},
 		{"telemetry", func(c *kernel.Config) { c.Telemetry = telemetry.NewSink() }},
-		{"nofastpath", func(c *kernel.Config) { c.DisableTLB, c.DisableSuperblocks = true, true }},
+		{"nofastpath", func(c *kernel.Config) { c.FastPath = cpu.Cached }},
 	}
 	for _, g := range guests {
 		for _, tog := range toggles {

@@ -3,24 +3,25 @@ package guest
 import (
 	"testing"
 
+	"lazypoline/internal/cpu"
 	"lazypoline/internal/kernel"
 )
 
 // TestMemBenchSelfCheck: the guest's accumulated load sum must match the
-// closed-form expectation with the data fast path on, off, and under an
-// attached mechanism-free kernel — the bench workload is only useful if
+// closed-form expectation at the Full, Cached (data fast path off) and
+// Interp levels, under a mechanism-free kernel — the bench workload is only useful if
 // a wrong byte anywhere fails it loudly.
 func TestMemBenchSelfCheck(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  kernel.Config
+		name  string
+		level cpu.FastPath
 	}{
-		{"fastpath-on", kernel.Config{}},
-		{"fastpath-off", kernel.Config{DisableTLB: true, DisableSuperblocks: true}},
-		{"interpreter-only", kernel.Config{DisableDecodeCache: true, DisableTLB: true, DisableSuperblocks: true}},
+		{"fastpath-on", cpu.Full},
+		{"fastpath-off", cpu.Cached},
+		{"interpreter-only", cpu.Interp},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			k := kernel.New(tc.cfg)
+			k := kernel.New(kernel.Config{FastPath: tc.level})
 			prog, err := MemBench(5)
 			if err != nil {
 				t.Fatal(err)
@@ -35,7 +36,7 @@ func TestMemBenchSelfCheck(t *testing.T) {
 			if task.ExitCode != 0 {
 				t.Fatalf("membench exited %d (self-check failed)", task.ExitCode)
 			}
-			if tc.cfg == (kernel.Config{}) && task.CPU.TLBStats().Hits == 0 {
+			if tc.level == cpu.Full && task.CPU.TLBStats().Hits == 0 {
 				t.Error("membench retired with zero TLB hits; it does not exercise the data path")
 			}
 		})

@@ -90,23 +90,12 @@ type Config struct {
 	Net *netstack.Stack
 	// RandSeed seeds the deterministic getrandom stream.
 	RandSeed uint64
-	// DisableDecodeCache turns off the CPUs' decoded-instruction cache.
-	// The cache is semantically invisible, so this only trades speed for
-	// nothing — it exists for differential tests and CI determinism
-	// checks that prove exactly that.
-	DisableDecodeCache bool
-	// DisableTLB turns off the CPUs' software D-TLB and DisableSuperblocks
-	// turns off superblock execution. Both layers are semantically
-	// invisible like the decode cache; the toggles exist for the same
-	// differential tests and for measuring each layer in isolation.
-	DisableTLB         bool
-	DisableSuperblocks bool
-	// DisableChaining turns off block→block chaining inside superblock
-	// execution, and DisableTraces turns off hot-trace promotion and the
-	// fused idiom handlers built on top of chaining. Semantically
-	// invisible like every other fast-path layer.
-	DisableChaining bool
-	DisableTraces   bool
+	// FastPath selects the CPUs' execution fast path (see cpu.FastPath);
+	// the zero value is the whole fast path. Every level is semantically
+	// invisible, so lower levels only trade speed for nothing — they
+	// exist for differential tests and CI determinism checks that prove
+	// exactly that, and for measuring each layer.
+	FastPath cpu.FastPath
 	// ChaosSeed / ChaosRate configure the deterministic fault-injection
 	// engine (see internal/chaos). A rate of 0 constructs no engine at
 	// all, so a zero-rate run is byte-identical to a chaos-disabled run:
@@ -116,7 +105,7 @@ type Config struct {
 	ChaosRate float64
 	// Cores is the number of host worker goroutines a scheduling round
 	// may spread runnable tasks across (see kernel/parallel.go). <= 1
-	// selects the sequential scheduler. Like the fast-path toggles it is
+	// selects the sequential scheduler. Like FastPath it is
 	// execution machinery, not an experiment parameter: any value
 	// produces byte-identical guest-visible output (console, strace,
 	// cycle counts, traces, BENCH snapshots) to Cores == 1 — the
@@ -155,19 +144,15 @@ type Kernel struct {
 	order   []*Task // scheduling order
 	nextTID int
 
-	hcalls        map[int64]hcallEntry
-	hcallsMu      sync.RWMutex
-	nextHcall     int64
-	rrOffset      int
-	images        map[string]*loader.Image
-	randState     uint64
-	maxCycles     uint64
-	extWaiters    int32
-	noDecodeCache bool
-	noTLB         bool
-	noSuperblocks bool
-	noChaining    bool
-	noTraces      bool
+	hcalls     map[int64]hcallEntry
+	hcallsMu   sync.RWMutex
+	nextHcall  int64
+	rrOffset   int
+	images     map[string]*loader.Image
+	randState  uint64
+	maxCycles  uint64
+	extWaiters int32
+	fastPath   cpu.FastPath
 
 	// cores is the scheduling-round parallelism (Config.Cores; <= 1 =
 	// sequential). tracerCount tracks attached ptrace-style tracers —
@@ -231,25 +216,21 @@ type Kernel struct {
 // New creates a kernel.
 func New(cfg Config) *Kernel {
 	k := &Kernel{
-		Costs:         cfg.Costs,
-		FS:            cfg.FS,
-		Net:           cfg.Net,
-		tasks:         make(map[int]*Task),
-		nextTID:       1000,
-		hcalls:        make(map[int64]hcallEntry),
-		nextHcall:     1,
-		images:        make(map[string]*loader.Image),
-		randState:     cfg.RandSeed | 1,
-		noDecodeCache: cfg.DisableDecodeCache,
-		noTLB:         cfg.DisableTLB,
-		noSuperblocks: cfg.DisableSuperblocks,
-		noChaining:    cfg.DisableChaining,
-		noTraces:      cfg.DisableTraces,
-		chaos:         chaos.New(cfg.ChaosSeed, cfg.ChaosRate),
-		cores:         cfg.Cores,
-		tel:           cfg.Telemetry,
-		trace:         cfg.Trace,
-		policy:        cfg.Policy.normalize(),
+		Costs:     cfg.Costs,
+		FS:        cfg.FS,
+		Net:       cfg.Net,
+		tasks:     make(map[int]*Task),
+		nextTID:   1000,
+		hcalls:    make(map[int64]hcallEntry),
+		nextHcall: 1,
+		images:    make(map[string]*loader.Image),
+		randState: cfg.RandSeed | 1,
+		fastPath:  cfg.FastPath,
+		chaos:     chaos.New(cfg.ChaosSeed, cfg.ChaosRate),
+		cores:     cfg.Cores,
+		tel:       cfg.Telemetry,
+		trace:     cfg.Trace,
+		policy:    cfg.Policy.normalize(),
 	}
 	if k.cores < 1 {
 		k.cores = 1
@@ -407,21 +388,7 @@ func (k *Kernel) newTask(name string, as *mem.AddressSpace) *Task {
 	}
 	t.CPU = cpu.New(as)
 	t.CPU.Costs = cpu.Costs{Insn: k.Costs.Insn, Xsave: k.Costs.Xsave, Xrstor: k.Costs.Xrstor, NopsPerCycle: k.Costs.NopsPerCycle}
-	if k.noDecodeCache {
-		t.CPU.SetDecodeCache(false)
-	}
-	if k.noTLB {
-		t.CPU.SetTLB(false)
-	}
-	if k.noSuperblocks {
-		t.CPU.SetSuperblocks(false)
-	}
-	if k.noChaining {
-		t.CPU.SetChaining(false)
-	}
-	if k.noTraces {
-		t.CPU.SetTraces(false)
-	}
+	t.CPU.SetFastPath(k.fastPath)
 	k.initTaskPolicy(t)
 	k.installAllocGate(as)
 	k.tasks[t.ID] = t

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"strings"
 
+	"lazypoline/internal/cpu"
 	"lazypoline/internal/guest"
 	"lazypoline/internal/kernel"
 	"lazypoline/internal/netstack"
@@ -358,20 +359,10 @@ type Config struct {
 	Attach AttachFunc
 	// Costs overrides the cost model (zero value = default).
 	Costs kernel.CostModel
-	// DisableDecodeCache runs the simulated CPUs without the decoded-
-	// instruction cache. Results are identical either way (the cache is
-	// semantically invisible); CI uses this to prove it.
-	DisableDecodeCache bool
-	// DisableTLB and DisableSuperblocks switch off the data-path fast
-	// path (the per-task software D-TLB and superblock execution). Like
-	// the decode cache, both are semantically invisible; CI uses these
-	// to prove it.
-	DisableTLB         bool
-	DisableSuperblocks bool
-	// DisableChaining and DisableTraces switch off the block-chaining and
-	// hot-trace layers, with the same invisibility contract.
-	DisableChaining bool
-	DisableTraces   bool
+	// FastPath selects the simulated CPUs' execution fast path (zero =
+	// the whole fast path). Results are identical at every level; CI uses
+	// this to prove it.
+	FastPath cpu.FastPath
 	// ChaosSeed and ChaosRate configure deterministic fault injection
 	// (see internal/chaos). Rate 0 disables it entirely. The multi-task
 	// server makes scheduling mechanism-dependent, so chaos webbench runs
@@ -459,18 +450,14 @@ func Run(cfg Config) (Result, error) {
 		cfg.Connections = 36
 	}
 	k := kernel.New(kernel.Config{
-		Costs:              cfg.Costs,
-		DisableDecodeCache: cfg.DisableDecodeCache,
-		DisableTLB:         cfg.DisableTLB,
-		DisableSuperblocks: cfg.DisableSuperblocks,
-		DisableChaining:    cfg.DisableChaining,
-		DisableTraces:      cfg.DisableTraces,
-		ChaosSeed:          cfg.ChaosSeed,
-		ChaosRate:          cfg.ChaosRate,
-		Telemetry:          cfg.Telemetry,
-		Policy:             cfg.Policy,
-		Trace:              cfg.Trace,
-		Cores:              cfg.Cores,
+		Costs:     cfg.Costs,
+		FastPath:  cfg.FastPath,
+		ChaosSeed: cfg.ChaosSeed,
+		ChaosRate: cfg.ChaosRate,
+		Telemetry: cfg.Telemetry,
+		Policy:    cfg.Policy,
+		Trace:     cfg.Trace,
+		Cores:     cfg.Cores,
 	})
 
 	// Static content.

@@ -17,44 +17,26 @@ go test -race ./...
 go test -race ./internal/cpu/... ./internal/mem/...
 
 # Benchmark smoke run: the interpreter benchmarks must still execute, and
-# cpubench must still clear its cache-speedup and fast-path-speedup
+# cpubench must still clear its speedup-over-interp and fast-path-speedup
 # floors — the raw-loop floor is pinned explicitly at 4.0x, the ratchet
 # block chaining + fused handlers must sustain (written to a scratch
 # file; the checked-in BENCH_cpu.json snapshot is refreshed manually).
 go test ./internal/cpu/ -run '^$' -bench 'BenchmarkCPUStep|BenchmarkDecodeCache' -benchtime 100ms
 go run ./cmd/cpubench -steps 1000000 -iters 20000 -memsweeps 200 -repeat 2 -minrawloop 4.0 -out /tmp/ci_BENCH_cpu.json
 
-# Decode-cache determinism: a small Figure 5 sweep must produce
-# byte-identical snapshots with the cache enabled and disabled —
+# Fast-path determinism (DESIGN.md §7, §10, §11): a small Figure 5 sweep
+# must produce byte-identical snapshots at every fast-path level — the
+# layers change how fast points are produced, never the points.
 # wall_seconds is the one field allowed to differ.
 smoke="-requests 60 -conns 8 -sizes 1024,65536 -workers 1 -servers nginx,lighttpd"
-go run ./cmd/macrobench $smoke -decodecache=true -out /tmp/ci_fig5_cache_on.json
-go run ./cmd/macrobench $smoke -decodecache=false -out /tmp/ci_fig5_cache_off.json
 strip_wall() { grep -v '"wall_seconds"' "$1"; }
-strip_wall /tmp/ci_fig5_cache_on.json > /tmp/ci_fig5_cache_on.stripped
-strip_wall /tmp/ci_fig5_cache_off.json > /tmp/ci_fig5_cache_off.stripped
-diff -u /tmp/ci_fig5_cache_on.stripped /tmp/ci_fig5_cache_off.stripped
-
-# Data-fast-path determinism (DESIGN.md §10): the same sweep must be
-# byte-identical with the software D-TLB and with superblock execution
-# disabled — the fast path changes how fast points are produced, never
-# the points.
-go run ./cmd/macrobench $smoke -tlb=false -out /tmp/ci_fig5_tlb_off.json
-go run ./cmd/macrobench $smoke -superblock=false -out /tmp/ci_fig5_sb_off.json
-strip_wall /tmp/ci_fig5_tlb_off.json > /tmp/ci_fig5_tlb_off.stripped
-strip_wall /tmp/ci_fig5_sb_off.json > /tmp/ci_fig5_sb_off.stripped
-diff -u /tmp/ci_fig5_cache_on.stripped /tmp/ci_fig5_tlb_off.stripped
-diff -u /tmp/ci_fig5_cache_on.stripped /tmp/ci_fig5_sb_off.stripped
-
-# Chaining/trace determinism (DESIGN.md §11): block chaining and
-# hot-trace compilation are routing shortcuts over the superblock layer
-# and must not move a single point either.
-go run ./cmd/macrobench $smoke -chain=false -out /tmp/ci_fig5_chain_off.json
-go run ./cmd/macrobench $smoke -traces=false -out /tmp/ci_fig5_traces_off.json
-strip_wall /tmp/ci_fig5_chain_off.json > /tmp/ci_fig5_chain_off.stripped
-strip_wall /tmp/ci_fig5_traces_off.json > /tmp/ci_fig5_traces_off.stripped
-diff -u /tmp/ci_fig5_cache_on.stripped /tmp/ci_fig5_chain_off.stripped
-diff -u /tmp/ci_fig5_cache_on.stripped /tmp/ci_fig5_traces_off.stripped
+go run ./cmd/macrobench $smoke -fastpath full -out /tmp/ci_fig5_full.json
+strip_wall /tmp/ci_fig5_full.json > /tmp/ci_fig5_full.stripped
+for level in interp cached superblocks chained; do
+	go run ./cmd/macrobench $smoke -fastpath $level -out /tmp/ci_fig5_$level.json
+	strip_wall /tmp/ci_fig5_$level.json > /tmp/ci_fig5_$level.stripped
+	diff -u /tmp/ci_fig5_full.stripped /tmp/ci_fig5_$level.stripped
+done
 
 # Chaos determinism (DESIGN.md §8): a fixed fault plan must be
 # mechanism-invariant on a single-task guest — identical strace log,
@@ -109,7 +91,7 @@ go test ./internal/mem/ -run '^$' -fuzz FuzzAccess -fuzztime 5s
 # records, benign enforcement) must pass.
 go run ./cmd/macrobench $smoke -policy-regions=false -policy-sfip=false -out /tmp/ci_fig5_policy_off.json
 strip_wall /tmp/ci_fig5_policy_off.json > /tmp/ci_fig5_policy_off.stripped
-diff -u /tmp/ci_fig5_cache_on.stripped /tmp/ci_fig5_policy_off.stripped
+diff -u /tmp/ci_fig5_full.stripped /tmp/ci_fig5_policy_off.stripped
 go test ./internal/experiments -run 'TestPolicyInvariance' -count 1
 
 # Attack-guest smoke: with the matching layer on, both attacks die with
@@ -200,7 +182,7 @@ go test -race ./internal/fleet -run 'TestFleetCores' -count 1
 # difference (host_cores is stable on a single machine).
 strip_cores() { grep -v -e '"wall_seconds"' -e '"cores"' "$1"; }
 go run ./cmd/macrobench $smoke -cores 4 -out /tmp/ci_fig5_cores4.json
-strip_cores /tmp/ci_fig5_cache_on.json > /tmp/ci_fig5_cores1.nocores
+strip_cores /tmp/ci_fig5_full.json > /tmp/ci_fig5_cores1.nocores
 strip_cores /tmp/ci_fig5_cores4.json > /tmp/ci_fig5_cores4.nocores
 diff -u /tmp/ci_fig5_cores1.nocores /tmp/ci_fig5_cores4.nocores
 
