@@ -75,7 +75,7 @@ obs-smoke:
 # ratchet only binds on hosts with >= 8 cores (parbench skips it and
 # says so on smaller machines).
 par-smoke:
-	go test -race ./internal/kernel -run 'TestRound|TestMidRound|TestPlanShards|TestParallel|TestRunParks|TestRunDeadlock' -count 1
+	go test -race ./internal/kernel -run 'TestRound|TestMidRound|TestPlanShards|TestParallel|TestRunDeadlock' -count 1
 	go test -race ./internal/webbench -run 'TestCores' -count 1
 	go test -race ./internal/fleet -run 'TestFleetCores' -count 1
 	go run ./cmd/parbench -requests 300 -conns 8 -workers 4 -mechs baseline,lazypoline \

@@ -106,7 +106,8 @@ type Config struct {
 	SLOTarget    float64
 	// Cores is the host-parallelism budget for the kernel's scheduler
 	// (DESIGN.md §15). Result is byte-identical for every value; only
-	// wall-clock time changes. <= 1 selects the sequential scheduler.
+	// wall-clock time changes. <= 1 runs every scheduling round with
+	// zero shards, each quantum on the round loop itself.
 	Cores int
 }
 

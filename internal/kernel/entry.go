@@ -258,7 +258,7 @@ func (k *Kernel) finishSyscall(t *Task, nr int64, args [6]uint64, res sysResult)
 		// A runnable→blocked flip must be frontier-ordered: the round
 		// coordinator reads blocked tasks' state inline, and the slot
 		// where the task parks determines when its poll is first
-		// evaluated. (No-op in sequential rounds.)
+		// evaluated. (No-op for quanta the coordinator runs.)
 		k.serialize(t)
 		t.state = TaskBlocked
 		t.blocked = blockedState{

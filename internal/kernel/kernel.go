@@ -19,7 +19,7 @@ import (
 
 // Errors from Run and Spawn.
 var (
-	ErrDeadlock  = errors.New("kernel: all tasks blocked with no external driver")
+	ErrDeadlock  = errors.New("kernel: all tasks blocked and a full round made no progress")
 	ErrStepLimit = errors.New("kernel: step limit exceeded")
 )
 
@@ -105,7 +105,8 @@ type Config struct {
 	ChaosRate float64
 	// Cores is the number of host worker goroutines a scheduling round
 	// may spread runnable tasks across (see kernel/parallel.go). <= 1
-	// selects the sequential scheduler. Like FastPath it is
+	// gives every round zero shards: the round loop runs each quantum
+	// itself. Like FastPath it is
 	// execution machinery, not an experiment parameter: any value
 	// produces byte-identical guest-visible output (console, strace,
 	// cycle counts, traces, BENCH snapshots) to Cores == 1 — the
@@ -144,34 +145,33 @@ type Kernel struct {
 	order   []*Task // scheduling order
 	nextTID int
 
-	hcalls     map[int64]hcallEntry
-	hcallsMu   sync.RWMutex
-	nextHcall  int64
-	rrOffset   int
-	images     map[string]*loader.Image
-	randState  uint64
-	maxCycles  uint64
-	extWaiters int32
-	fastPath   cpu.FastPath
+	hcalls    map[int64]hcallEntry
+	hcallsMu  sync.RWMutex
+	nextHcall int64
+	rrOffset  int
+	images    map[string]*loader.Image
+	randState uint64
+	maxCycles uint64
+	fastPath  cpu.FastPath
 
 	// cores is the scheduling-round parallelism (Config.Cores; <= 1 =
-	// sequential). tracerCount tracks attached ptrace-style tracers —
-	// tracer callbacks run host code at arbitrary points, so any
-	// attached tracer forces the sequential scheduler.
+	// zero-shard rounds). tracerCount tracks attached ptrace-style
+	// tracers — tracer callbacks run host code at arbitrary points, so
+	// any attached tracer forces zero-shard rounds.
 	cores       int
 	tracerCount int
 
-	// inRound is true while a scheduling round is visiting task slots
-	// (sequential or parallel). Cross-task signals posted during a round
-	// are deferred to the round barrier in BOTH modes — that is what
-	// makes the parallel schedule reproduce the sequential one exactly
-	// (see parallel.go). roundListenerHot is recomputed at each parallel
-	// round's start: while any listener has a pending connection,
-	// accept/epoll ordering matters and those syscalls serialise.
+	// inRound is true while a scheduling round is visiting task slots.
+	// Cross-task signals posted during a round are deferred to the round
+	// barrier whether or not it has shards — that is what makes a round
+	// with shards reproduce a zero-shard one exactly (see parallel.go).
+	// roundListenerHot is recomputed at the start of each round with
+	// shards: while any listener has a pending connection, accept/epoll
+	// ordering matters and those syscalls serialise.
 	inRound          bool
 	havePendingNext  bool
 	roundListenerHot bool
-	// parRounds counts rounds that actually ran on shards — an
+	// parRounds counts rounds that had shards — an
 	// engagement diagnostic (ParallelRounds) for tests and parbench,
 	// never an input to anything the guest can observe.
 	parRounds uint64
@@ -318,19 +318,6 @@ func (k *Kernel) RegisterImage(path string, img *loader.Image) {
 	k.images[path] = img
 }
 
-// AddExternalWaiter declares that an external driver (e.g. a Go-side
-// load generator running concurrently with Run) may unblock tasks, so an
-// all-blocked state is not a deadlock. Returns a release function.
-// Drivers that interleave with RunSlice (webbench) do not need it.
-func (k *Kernel) AddExternalWaiter() func() {
-	atomic.AddInt32(&k.extWaiters, 1)
-	return func() {
-		atomic.AddInt32(&k.extWaiters, -1)
-		// A parked Run must re-evaluate the deadlock condition.
-		k.Net.BumpActivity()
-	}
-}
-
 // SpawnOpts configures SpawnImage.
 type SpawnOpts struct {
 	Name      string
@@ -459,7 +446,7 @@ func (k *Kernel) Tasks() []*Task {
 }
 
 // AttachTracer attaches a ptrace-style tracer to a task. While any
-// tracer is attached the scheduler stays sequential: tracer callbacks
+// tracer is attached every round has zero shards: tracer callbacks
 // run arbitrary host code mid-quantum.
 func (k *Kernel) AttachTracer(t *Task, tr *Tracer) {
 	if t.tracer == nil && tr != nil {
@@ -492,27 +479,19 @@ func (k *Kernel) ConfigSUD(t *Task, cfg SUDConfig) error {
 }
 
 // Run executes tasks round-robin until all exit, maxSteps CPU steps have
-// been executed, or a deadlock is detected. maxSteps <= 0 means no limit.
+// been executed, or a full round makes no progress (ErrDeadlock: every
+// live task stayed blocked; drivers that change external state between
+// rounds use RunSlice instead). maxSteps <= 0 means no limit.
 func (k *Kernel) Run(maxSteps int64) error {
 	var steps int64
 	for {
-		// Capture the activity generation before the round: a driver
-		// action between this read and a park below re-runs the round
-		// instead of being lost.
-		gen := k.Net.ActivityGen()
 		r := k.scheduleRound()
 		steps += r.steps
 		if !r.alive {
 			return nil
 		}
 		if !r.progress {
-			if atomic.LoadInt32(&k.extWaiters) == 0 {
-				return ErrDeadlock
-			}
-			// An external driver (load generator) will eventually make a
-			// pollable ready; park until it touches the stack or the
-			// clock rather than burning host CPU in a yield spin.
-			k.Net.AwaitActivity(gen)
+			return ErrDeadlock
 		}
 		if maxSteps > 0 && steps >= maxSteps {
 			return ErrStepLimit
@@ -598,8 +577,6 @@ func (k *Kernel) KillTree(root *Task) {
 // timer ticking while the CPUs sit in the idle loop.
 func (k *Kernel) AdvanceClock(n uint64) {
 	k.maxCycles += n
-	// Clock motion is externally observable progress: wake a parked Run.
-	k.Net.BumpActivity()
 }
 
 // runQuantum runs one scheduling quantum of t and returns the number of
@@ -639,8 +616,8 @@ func (k *Kernel) runQuantum(t *Task) int64 {
 			// depend on batching. steps==1 means no instruction retired
 			// before the event in this batch — the old loop had made no
 			// refresh since the previous event either. clockPropose is a
-			// plain max-merge of k.maxCycles in sequential rounds; on a
-			// parallel shard it accumulates into the task's pending clock,
+			// plain max-merge of k.maxCycles for quanta the coordinator
+			// runs; on a shard it accumulates into the task's pending clock,
 			// flushed in canonical slot order (parallel.go).
 			k.clockPropose(t, pre)
 		}

@@ -145,6 +145,50 @@ func TestMmapMprotectFromGuest(t *testing.T) {
 	}
 }
 
+// TestMmapBeyondCapReturnsENOMEM: guest mmap lengths are untrusted. A
+// 1 TiB request, anonymous or MAP_FIXED, fails with -ENOMEM before the
+// host builds any page, and the task carries on to map, write and exit.
+func TestMmapBeyondCapReturnsENOMEM(t *testing.T) {
+	k := New(Config{})
+	task := buildTask(t, k, `
+	_start:
+		mov64 rax, SYS_mmap
+		mov64 rdi, 0
+		mov64 rsi, 0x10000000000   ; 1 TiB
+		mov64 rdx, 3
+		mov64 r10, 0x20            ; MAP_ANON
+		syscall
+		mov64 rdi, 1
+		cmpi rax, -12
+		jnz out
+		mov64 rax, SYS_mmap
+		mov64 rdi, 0x100000000
+		mov64 rsi, 0x10000000000
+		mov64 rdx, 3
+		mov64 r10, 0x30            ; MAP_ANON|MAP_FIXED
+		syscall
+		mov64 rdi, 2
+		cmpi rax, -12
+		jnz out
+		mov64 rax, SYS_mmap
+		mov64 rdi, 0
+		mov64 rsi, 4096
+		mov64 rdx, 3
+		mov64 r10, 0x20
+		syscall
+		mov64 rcx, 7
+		store [rax], rcx
+		load rdi, [rax]
+	out:
+		mov64 rax, SYS_exit
+		syscall
+	`)
+	mustRun(t, k)
+	if task.ExitCode != 7 {
+		t.Fatalf("exit = %d, want 7 (1 = anonymous 1 TiB map not ENOMEM, 2 = fixed)", task.ExitCode)
+	}
+}
+
 func TestWriteToROPageKillsWithSIGSEGV(t *testing.T) {
 	k := New(Config{})
 	task := buildTask(t, k, `

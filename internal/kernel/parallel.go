@@ -1,14 +1,17 @@
-// Parallel scheduling rounds (DESIGN.md §15).
+// Scheduling rounds (DESIGN.md §15).
 //
 // A scheduling round visits every task slot of a round-start snapshot in
-// rotated ("canonical") order. The sequential scheduler simply executes
-// the slots one after another. The parallel scheduler executes the same
-// round as an epoch: runnable tasks are partitioned into share-groups
-// (tasks that share an address space, file table, signal-handler table
-// or thread group must stay mutually serial), groups are assigned to at
-// most Cores shard goroutines, and each shard runs its tasks' quanta in
-// canonical slot order while a coordinator walks the slots maintaining a
-// *frontier*.
+// rotated ("canonical") order. There is one round loop at every core
+// count: a coordinator walks the slots and, at each one, polls a blocked
+// task, runs a runnable quantum inline, or — when the round has shards —
+// awaits and flushes a quantum a shard ran. A round with shards is an
+// epoch: runnable tasks are partitioned into share-groups (tasks that
+// share an address space, file table, signal-handler table or thread
+// group must stay mutually serial), groups are assigned to at most Cores
+// shard goroutines, and each shard runs its tasks' quanta in canonical
+// slot order while the coordinator's walk maintains a *frontier*. With
+// one core, a disqualifying attachment or fewer than two groups the
+// round has zero shards and the coordinator runs every quantum itself.
 //
 // The frontier is the determinism mechanism. A quantum may freely touch
 // task-private state (its CPU, address space, file-descriptor table,
@@ -20,26 +23,21 @@
 // stream — first calls serialize(t), which blocks the shard until the
 // frontier reaches t's slot. Because the frontier advances through slots
 // in canonical order, every order-sensitive operation happens in exactly
-// the sequence the sequential scheduler would have produced. Deferred
-// side channels (the virtual-clock max-merge and telemetry/otrace
-// emissions) accumulate per task and are flushed when the task reaches
-// the frontier, so observable streams are byte-identical too.
+// the sequence a zero-shard round would have produced. Deferred side
+// channels (the virtual-clock max-merge and telemetry/otrace emissions)
+// accumulate per task and are flushed when the task reaches the
+// frontier, so observable streams are byte-identical too.
 //
-// Cross-task signals are the one place where the *sequential* scheduler
-// adapts to the parallel one rather than the other way around: a signal
-// posted to a different task during a round (kill/tgkill, exit-time
-// SIGCHLD) is deferred to the round barrier and delivered in canonical
-// slot order there — in BOTH modes — because delivering it mid-round
-// would expose whether the target had already executed its slot. The
-// deferral is one round of latency at most and is applied identically at
-// every core count, so -cores N output is byte-identical to -cores 1 by
-// construction.
+// Cross-task signals are deferred at every core count: a signal posted
+// to a different task during a round (kill/tgkill, exit-time SIGCHLD) is
+// delivered at the round barrier in canonical slot order, because
+// delivering it mid-round would expose whether the target had already
+// executed its slot. The deferral is one round of latency at most and is
+// applied identically with or without shards, so -cores N output is
+// byte-identical to -cores 1 by construction.
 package kernel
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // roundResult is what one scheduling round reports back to Run/RunSlice.
 type roundResult struct {
@@ -48,23 +46,22 @@ type roundResult struct {
 	steps    int64
 }
 
-// parRound is the shared state of one parallel round: the frontier slot
-// index, advanced monotonically by the coordinator and waited on by
-// shard goroutines in serialize.
+// parRound is the shared state of one round with shards: the frontier
+// slot index, advanced monotonically by the coordinator and waited on by
+// shard goroutines in serialize, and the shard goroutines themselves.
 type parRound struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	frontier int
+	shards   sync.WaitGroup
 }
 
-func newParRound() *parRound {
-	pr := &parRound{frontier: -1}
-	pr.cond = sync.NewCond(&pr.mu)
-	return pr
-}
-
-// advance publishes slot as the current frontier.
+// advance publishes slot as the current frontier. A zero-shard round has
+// no parRound and nothing to publish.
 func (pr *parRound) advance(slot int) {
+	if pr == nil {
+		return
+	}
 	pr.mu.Lock()
 	pr.frontier = slot
 	pr.mu.Unlock()
@@ -81,8 +78,7 @@ func (pr *parRound) await(slot int) {
 }
 
 // scheduleRound runs one scheduling round — the shared core of Run and
-// RunSlice (they had drifted into two copies of this loop; the parallel
-// path must not fork a third). Quanta may spawn tasks (appended to
+// RunSlice, and the only round loop. Quanta may spawn tasks (appended to
 // k.order), so the round iterates a snapshot; the start index rotates
 // each round so wakeups (notably accept on a shared listener) are
 // distributed fairly across workers.
@@ -90,28 +86,34 @@ func (k *Kernel) scheduleRound() roundResult {
 	snapshot := k.order
 	k.rrOffset++
 	k.inRound = true
-	var r roundResult
+	var pr *parRound
 	if shards := k.planShards(snapshot); shards != nil {
-		r = k.runRoundParallel(snapshot, shards)
-	} else {
-		r = k.runRoundSequential(snapshot)
+		pr = k.startShards(shards)
 	}
-	k.inRound = false
-	k.promoteDeferredSignals(snapshot)
-	return r
-}
-
-// runRoundSequential is the classic scheduler: visit each slot in
-// rotated order and execute it to completion before the next.
-func (k *Kernel) runRoundSequential(snapshot []*Task) roundResult {
 	var r roundResult
 	for i := range snapshot {
 		t := snapshot[(i+k.rrOffset)%len(snapshot)]
-		switch t.state {
-		case TaskZombie:
+		if t.par != nil {
+			// Runnable at round start: its quantum runs (or ran) on a
+			// shard. Grant it the frontier, wait for completion, then
+			// flush its deferred clock merge and sink emissions — this
+			// is the canonical-order merge point.
+			pr.advance(i)
+			<-t.parDone
+			k.flushDeferred(t)
+			t.par = nil
+			t.parOnFrontier = false
+			if t.parRan {
+				r.alive = true
+				r.progress = true
+				r.steps += t.parSteps
+			}
 			continue
+		}
+		switch t.state {
 		case TaskBlocked:
 			r.alive = true
+			pr.advance(i)
 			if t.blocked.poll != nil && t.blocked.poll() {
 				retry := t.blocked.retry
 				t.state = TaskRunnable
@@ -122,29 +124,39 @@ func (k *Kernel) runRoundSequential(snapshot []*Task) roundResult {
 				r.progress = true
 			}
 		case TaskRunnable:
+			// Not shard-owned: run it inline at the frontier. With shards
+			// this cannot normally happen (mid-round wakeups are deferred
+			// to the barrier); without shards it is every runnable slot.
 			r.alive = true
 			r.progress = true
+			pr.advance(i)
 			r.steps += k.runQuantum(t)
 		}
 	}
+	if pr != nil {
+		pr.advance(len(snapshot))
+		pr.shards.Wait()
+		k.roundListenerHot = false
+	}
+	k.inRound = false
+	k.promoteDeferredSignals(snapshot)
 	return r
 }
 
-// parallelEligible reports whether rounds may run on shards at all.
+// parallelEligible reports whether rounds may have shards at all.
 // Tracers and the dispatch observer run arbitrary host callbacks at
 // arbitrary mid-quantum points, and the syscall-policy layer shares
-// lazily-sealed region state across fork — all of them force the
-// sequential scheduler. External waiters only exist in tests that poke
-// kernel state from a second goroutine, so they stay sequential too.
+// lazily-sealed region state across fork — all of them force zero-shard
+// rounds.
 func (k *Kernel) parallelEligible() bool {
 	return k.cores > 1 && k.tracerCount == 0 && k.OnDispatch == nil &&
-		k.policy == nil && atomic.LoadInt32(&k.extWaiters) == 0
+		k.policy == nil
 }
 
 // planShards partitions the snapshot's runnable tasks into share-groups
-// and assigns whole groups to shard queues. It returns nil when the
-// round should run sequentially (ineligible, or fewer than two groups —
-// there is nothing to overlap).
+// and assigns whole groups to shard queues. It returns nil for a
+// zero-shard round (ineligible, or fewer than two groups — there is
+// nothing to overlap).
 //
 // Two tasks must land in the same group when a quantum of one can touch
 // state of the other without a serialize gate: a shared address space
@@ -239,18 +251,19 @@ func (k *Kernel) planShards(snapshot []*Task) [][]*Task {
 // identity map with pointer keys.
 type tgidKey int
 
-// ParallelRounds reports how many scheduling rounds ran on shards —
-// zero means every round fell back to the sequential scheduler (one
-// core, a disqualifying attachment, or never two runnable groups).
+// ParallelRounds reports how many scheduling rounds had shards — zero
+// means every round ran all its quanta on the coordinator (one core, a
+// disqualifying attachment, or never two runnable groups).
 func (k *Kernel) ParallelRounds() uint64 { return k.parRounds }
 
-// runRoundParallel executes one epoch: launch the shard goroutines,
-// then walk the slots in canonical order advancing the frontier. Shard
-// tasks are awaited and their deferred effects flushed at their slot;
-// blocked tasks are polled inline exactly as the sequential round does.
-func (k *Kernel) runRoundParallel(snapshot []*Task, shards [][]*Task) roundResult {
+// startShards begins an epoch: it resets each shard-owned task's round
+// bookkeeping and launches one goroutine per shard queue. The shards run
+// until their queues are done; scheduleRound's walk grants them the
+// frontier slot by slot and waits for them at the end.
+func (k *Kernel) startShards(shards [][]*Task) *parRound {
 	k.parRounds++
-	pr := newParRound()
+	pr := &parRound{frontier: -1}
+	pr.cond = sync.NewCond(&pr.mu)
 	k.roundListenerHot = k.Net.AnyPendingAccepts()
 	for _, q := range shards {
 		for _, t := range q {
@@ -261,68 +274,19 @@ func (k *Kernel) runRoundParallel(snapshot []*Task, shards [][]*Task) roundResul
 			t.parDone = make(chan struct{})
 		}
 	}
-	var wg sync.WaitGroup
 	for _, q := range shards {
-		wg.Add(1)
+		pr.shards.Add(1)
 		go func(queue []*Task) {
-			defer wg.Done()
+			defer pr.shards.Done()
 			k.runShard(queue)
 		}(q)
 	}
-	var r roundResult
-	for i := range snapshot {
-		t := snapshot[(i+k.rrOffset)%len(snapshot)]
-		if t.par == pr {
-			// Runnable at round start: its quantum runs (or ran) on a
-			// shard. Grant it the frontier, wait for completion, then
-			// flush its deferred clock merge and sink emissions — this
-			// is the canonical-order merge point.
-			pr.advance(i)
-			<-t.parDone
-			k.flushDeferred(t)
-			t.par = nil
-			t.parOnFrontier = false
-			if t.parRan {
-				r.alive = true
-				r.progress = true
-				r.steps += t.parSteps
-			}
-			continue
-		}
-		switch t.state {
-		case TaskZombie:
-		case TaskBlocked:
-			r.alive = true
-			pr.advance(i)
-			if t.blocked.poll != nil && t.blocked.poll() {
-				retry := t.blocked.retry
-				t.state = TaskRunnable
-				t.blocked = blockedState{}
-				if retry != nil {
-					retry()
-				}
-				r.progress = true
-			}
-		case TaskRunnable:
-			// Not shard-owned yet runnable: cannot normally happen (mid-
-			// round wakeups are deferred to the barrier), but mirror the
-			// sequential scheduler for robustness: run it inline at the
-			// frontier.
-			r.alive = true
-			r.progress = true
-			pr.advance(i)
-			r.steps += k.runQuantum(t)
-		}
-	}
-	pr.advance(len(snapshot))
-	wg.Wait()
-	k.roundListenerHot = false
-	return r
+	return pr
 }
 
 // runShard executes one shard queue: each task's quantum in canonical
 // slot order. A task killed earlier this round by a same-group sibling
-// (exit_group) is skipped exactly as the sequential visit would skip a
+// (exit_group) is skipped exactly as a zero-shard round would skip a
 // zombie slot.
 func (k *Kernel) runShard(queue []*Task) {
 	for _, t := range queue {
@@ -338,8 +302,9 @@ func (k *Kernel) runShard(queue []*Task) {
 // deferred effects. It is the gate every order-sensitive operation of a
 // shard-run quantum passes through; once owned, the frontier stays at
 // t's slot until its quantum completes, so the gate is idempotent and
-// later gated operations in the same quantum run without waiting. In
-// sequential rounds (and for coordinator-run retries) it is a no-op.
+// later gated operations in the same quantum run without waiting. For
+// quanta the coordinator runs (every quantum of a zero-shard round, and
+// coordinator-run retries) it is a no-op.
 func (k *Kernel) serialize(t *Task) {
 	if t == nil || t.par == nil || t.parOnFrontier {
 		return
@@ -366,8 +331,8 @@ func (k *Kernel) clockPropose(t *Task, v uint64) {
 	}
 }
 
-// deferEmit runs fn now when ordering is already guaranteed (sequential
-// round, frontier owned, host context), or queues it on the task to be
+// deferEmit runs fn now when ordering is already guaranteed (a quantum
+// the coordinator runs, frontier owned, host context), or queues it on the task to be
 // replayed in program order when the task reaches the frontier. The
 // closures capture their values at call time: only the emission into
 // the shared sink is deferred, never the measurement.
@@ -395,9 +360,9 @@ func (k *Kernel) flushDeferred(t *Task) {
 }
 
 // postSignalCross posts a signal from one task to another. During a
-// round the delivery is deferred to the round barrier (in both
-// scheduler modes — see the package comment); outside a round, or for
-// self-posts, it is immediate.
+// round the delivery is deferred to the round barrier (with or without
+// shards — see the package comment); outside a round, or for self-posts,
+// it is immediate.
 func (k *Kernel) postSignalCross(from, to *Task, ps pendingSignal) {
 	if k.inRound && from != nil && from != to {
 		to.pendingNext = append(to.pendingNext, ps)
@@ -441,8 +406,8 @@ func (k *Kernel) promoteDeferredSignals(snapshot []*Task) {
 // operations whose result or effect is order-sensitive serialize on the
 // frontier first; everything else runs concurrently. The default for a
 // case not listed here is to serialize — purity is the property that
-// must be argued, not assumed. In sequential rounds the gate is two nil
-// checks.
+// must be argued, not assumed. For quanta the coordinator runs the gate
+// is one nil check.
 func (k *Kernel) syscallGate(t *Task, nr int64, args [6]uint64) {
 	if t.par == nil || t.parOnFrontier {
 		return

@@ -2,12 +2,10 @@ package kernel
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
-	"time"
 
+	"lazypoline/internal/policy"
 	"lazypoline/internal/telemetry"
 )
 
@@ -162,9 +160,11 @@ func runParCell(t *testing.T, cores int, srcs ...string) (*Kernel, []*Task) {
 }
 
 // TestParallelRoundsMatchSequential: the same multi-task workload run
-// with -cores 1, 2 and 4 produces identical console bytes, exit codes
-// and final virtual clock. This is the tentpole invariant (DESIGN.md
-// §15) at kernel granularity.
+// with -cores 2, 4 and 8 produces console bytes, exit codes and a final
+// virtual clock identical to -cores 1. This is the tentpole invariant
+// (DESIGN.md §15) at kernel granularity. Each disqualified row must run
+// every round with zero shards at Cores 4 and still match its own
+// Cores 1 run.
 func TestParallelRoundsMatchSequential(t *testing.T) {
 	srcs := []string{
 		parLoopGuest("a", 40, 1),
@@ -172,26 +172,68 @@ func TestParallelRoundsMatchSequential(t *testing.T) {
 		parLoopGuest("c", 60, 3),
 		parLoopGuest("d", 10, 4),
 	}
-	kRef, ref := runParCell(t, 1, srcs...)
-	if kRef.ParallelRounds() != 0 {
-		t.Fatalf("cores=1 ran %d parallel rounds", kRef.ParallelRounds())
+	cases := []struct {
+		name    string
+		cores   []int
+		sharded bool
+		policy  bool
+		setup   func(k *Kernel, tasks []*Task)
+	}{
+		{name: "independent", cores: []int{2, 4, 8}, sharded: true},
+		{name: "tracer", cores: []int{4}, setup: func(k *Kernel, tasks []*Task) {
+			k.AttachTracer(tasks[0], &Tracer{OnEnter: func(s *PtraceStop) { s.GetRegs() }})
+		}},
+		{name: "on-dispatch", cores: []int{4}, setup: func(k *Kernel, _ []*Task) {
+			k.OnDispatch = func(*Task, int64, [6]uint64) {}
+		}},
+		{name: "policy", cores: []int{4}, policy: true},
+		{name: "one-share-group", cores: []int{4}, setup: func(_ *Kernel, tasks []*Task) {
+			// One signal-handler table, as CLONE_SIGHAND threads share.
+			for _, tk := range tasks[1:] {
+				tk.Sig = tasks[0].Sig
+			}
+		}},
 	}
-	for _, cores := range []int{2, 4, 8} {
-		k, tasks := runParCell(t, cores, srcs...)
-		if k.ParallelRounds() == 0 {
-			t.Errorf("cores=%d never engaged the parallel scheduler", cores)
-		}
-		if k.Now() != kRef.Now() {
-			t.Errorf("cores=%d: clock %d, want %d", cores, k.Now(), kRef.Now())
-		}
-		for i := range tasks {
-			if !bytes.Equal(tasks[i].ConsoleOut, ref[i].ConsoleOut) {
-				t.Errorf("cores=%d task %d console %q, want %q", cores, i, tasks[i].ConsoleOut, ref[i].ConsoleOut)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(cores int) (*Kernel, []*Task) {
+				cfg := Config{Cores: cores}
+				if tc.policy {
+					cfg.Policy = &PolicyConfig{SFIPLearn: policy.NewProfile(SysWrite, SysExit)}
+				}
+				k := New(cfg)
+				tasks := make([]*Task, len(srcs))
+				for i, src := range srcs {
+					tasks[i] = buildTask(t, k, src)
+				}
+				if tc.setup != nil {
+					tc.setup(k, tasks)
+				}
+				mustRun(t, k)
+				return k, tasks
 			}
-			if tasks[i].ExitCode != ref[i].ExitCode {
-				t.Errorf("cores=%d task %d exit %d, want %d", cores, i, tasks[i].ExitCode, ref[i].ExitCode)
+			kRef, ref := run(1)
+			if kRef.ParallelRounds() != 0 {
+				t.Fatalf("cores=1 ran %d parallel rounds", kRef.ParallelRounds())
 			}
-		}
+			for _, cores := range tc.cores {
+				k, tasks := run(cores)
+				if got := k.ParallelRounds(); (got != 0) != tc.sharded {
+					t.Errorf("cores=%d ran %d parallel rounds, want sharded=%v", cores, got, tc.sharded)
+				}
+				if k.Now() != kRef.Now() {
+					t.Errorf("cores=%d: clock %d, want %d", cores, k.Now(), kRef.Now())
+				}
+				for i := range tasks {
+					if !bytes.Equal(tasks[i].ConsoleOut, ref[i].ConsoleOut) {
+						t.Errorf("cores=%d task %d console %q, want %q", cores, i, tasks[i].ConsoleOut, ref[i].ConsoleOut)
+					}
+					if tasks[i].ExitCode != ref[i].ExitCode {
+						t.Errorf("cores=%d task %d exit %d, want %d", cores, i, tasks[i].ExitCode, ref[i].ExitCode)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -237,8 +279,8 @@ func TestParallelForkWaitMatchesSequential(t *testing.T) {
 }
 
 // TestParallelCrossTaskKillMatchesSequential: kill(2) to another task is
-// deferred to the round barrier and delivered in canonical order — in
-// both scheduler modes — so a killer/victim pair resolves identically at
+// deferred to the round barrier and delivered in canonical order — with
+// or without shards — so a killer/victim pair resolves identically at
 // every core count.
 func TestParallelCrossTaskKillMatchesSequential(t *testing.T) {
 	// Victim spins forever; killer burns a few quanta, then kills it.
@@ -306,59 +348,5 @@ func TestParallelTelemetryByteIdentical(t *testing.T) {
 		if got := run(cores); !bytes.Equal(got, ref) {
 			t.Errorf("cores=%d timeline differs from cores=1 (%d vs %d bytes)", cores, len(got), len(ref))
 		}
-	}
-}
-
-// TestRunParksUntilExternalActivity: with an external waiter registered,
-// an all-blocked kernel parks in Run instead of spinning, and a
-// BumpActivity from the driver goroutine wakes it to re-poll.
-func TestRunParksUntilExternalActivity(t *testing.T) {
-	k := New(Config{})
-	var ready atomic.Bool
-	tk := &Task{ID: 0, state: TaskBlocked, k: k}
-	tk.blocked.poll = func() bool { return ready.Load() }
-	tk.blocked.retry = func() { tk.state = TaskZombie }
-	k.order = append(k.order, tk)
-
-	release := k.AddExternalWaiter()
-	done := make(chan error, 1)
-	go func() { done <- k.Run(0) }()
-
-	// Let Run reach the parked wait, then release the task and bump.
-	time.Sleep(10 * time.Millisecond)
-	ready.Store(true)
-	k.Net.BumpActivity()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not wake from parked wait after BumpActivity")
-	}
-	release()
-}
-
-// TestRunDeadlockAfterWaiterRelease: dropping the last external waiter
-// wakes a parked Run so it can report the deadlock instead of sleeping
-// forever.
-func TestRunDeadlockAfterWaiterRelease(t *testing.T) {
-	k := New(Config{})
-	tk := &Task{ID: 0, state: TaskBlocked, k: k}
-	tk.blocked.poll = func() bool { return false }
-	k.order = append(k.order, tk)
-
-	release := k.AddExternalWaiter()
-	done := make(chan error, 1)
-	go func() { done <- k.Run(0) }()
-	time.Sleep(10 * time.Millisecond)
-	release()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrDeadlock) {
-			t.Fatalf("run: %v, want ErrDeadlock", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not wake after the last external waiter released")
 	}
 }

@@ -18,8 +18,8 @@ const maxIOChunk = 1 << 20
 // microbenchmark's syscall 500 — return -ENOSYS after a full kernel
 // round trip, exactly the "non-existent syscall" the paper measures.
 func (k *Kernel) dispatch(t *Task, nr int64, args [6]uint64) sysResult {
-	// Parallel rounds: order-sensitive syscalls wait for the round
-	// frontier before executing (no-op in sequential rounds).
+	// Rounds with shards: order-sensitive syscalls wait for the round
+	// frontier before executing (no-op for quanta the coordinator runs).
 	k.syscallGate(t, nr, args)
 	switch nr {
 	case SysRead:

@@ -27,6 +27,12 @@ const PageSize = 4096
 // PageShift is log2(PageSize).
 const PageShift = 12
 
+// MaxPages caps the pages one address space may hold (1 GiB), in the
+// manner of RLIMIT_AS. Guest lengths are untrusted: a mapping that would
+// take an address space past the cap fails with ErrNoMem before any page
+// is built, so no mmap length can exhaust host memory.
+const MaxPages = 1 << 30 >> PageShift
+
 // Prot is a page protection bitmask.
 type Prot uint8
 
@@ -108,7 +114,8 @@ var ErrOverlap = errors.New("mem: range already mapped")
 
 // ErrNoMem is returned when an allocation is denied by the AllocGate —
 // the deterministic fault-injection analogue of a transient
-// out-of-memory condition.
+// out-of-memory condition — or would take an address space past
+// MaxPages.
 var ErrNoMem = errors.New("mem: cannot allocate memory")
 
 // page is one 4 KiB page.
@@ -229,6 +236,9 @@ func (as *AddressSpace) MapFixed(addr, length uint64, prot Prot) error {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	first, n := addr>>PageShift, length>>PageShift
+	if !as.fits(n) {
+		return ErrNoMem
+	}
 	for i := uint64(0); i < n; i++ {
 		if _, ok := as.pages[first+i]; ok {
 			return fmt.Errorf("%w: page %#x", ErrOverlap, (first+i)<<PageShift)
@@ -249,12 +259,18 @@ func (as *AddressSpace) MapAnon(length uint64, prot Prot) (uint64, error) {
 	if length == 0 {
 		return 0, ErrBadRange
 	}
+	if length > MaxPages<<PageShift {
+		return 0, ErrNoMem // also keeps the round-up below from wrapping
+	}
 	length = (length + PageSize - 1) &^ (PageSize - 1)
 	if as.AllocGate != nil && !as.AllocGate(length>>PageShift) {
 		return 0, ErrNoMem
 	}
 	as.mu.Lock()
 	defer as.mu.Unlock()
+	if !as.fits(length >> PageShift) {
+		return 0, ErrNoMem
+	}
 	// Find a free run starting at brk.
 	addr := as.brk
 	for {
@@ -303,8 +319,17 @@ func (as *AddressSpace) Protect(addr, length uint64, prot Prot) error {
 	return nil
 }
 
+// fits reports whether n more pages stay within MaxPages. Caller holds
+// mu; every insertion checks it, so len(as.pages) never exceeds the cap.
+func (as *AddressSpace) fits(n uint64) bool {
+	return n <= MaxPages-uint64(len(as.pages))
+}
+
 // Unmap removes [addr, addr+length). Unmapped pages in the range are
-// ignored (Linux munmap semantics).
+// ignored (Linux munmap semantics). Host work is bounded by the smaller
+// of the range and the mapped pages: a range larger than the mapping is
+// handled by walking the mapped pages instead. Each removal is an
+// independent tombstone-and-delete, so map iteration order cannot show.
 func (as *AddressSpace) Unmap(addr, length uint64) error {
 	if addr%PageSize != 0 || length == 0 || length%PageSize != 0 {
 		return ErrBadRange
@@ -312,17 +337,30 @@ func (as *AddressSpace) Unmap(addr, length uint64) error {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	first, n := addr>>PageShift, length>>PageShift
-	for i := uint64(0); i < n; i++ {
-		if pg, ok := as.pages[first+i]; ok {
-			// Tombstone: generation 0 is never issued, so any PageHandle
-			// still aliasing this page object can never validate again —
-			// even if the address is later remapped to a fresh page.
-			pg.gen.Store(0)
-			delete(as.pages, first+i)
+	if n > uint64(len(as.pages)) {
+		for pn, pg := range as.pages {
+			if pn-first < n {
+				as.unmapPage(pn, pg)
+			}
+		}
+	} else {
+		for i := uint64(0); i < n; i++ {
+			if pg, ok := as.pages[first+i]; ok {
+				as.unmapPage(first+i, pg)
+			}
 		}
 	}
 	as.codeMut.Add(1)
 	return nil
+}
+
+// unmapPage tombstones and removes one page. Generation 0 is never
+// issued, so any PageHandle still aliasing this page object can never
+// validate again — even if the address is later remapped to a fresh
+// page. Caller holds mu.
+func (as *AddressSpace) unmapPage(pn uint64, pg *page) {
+	pg.gen.Store(0)
+	delete(as.pages, pn)
 }
 
 // ProtAt returns the protection of the page containing addr; ok is false

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestMapReadWrite(t *testing.T) {
@@ -127,6 +128,43 @@ func TestUnmap(t *testing.T) {
 	// munmap over holes is fine.
 	if err := as.Unmap(0x1000, 2*PageSize); err != nil {
 		t.Errorf("unmap over hole: %v", err)
+	}
+}
+
+// TestUnmapHugeRangeWalksMappedPages: munmap of a 2^44-byte range
+// holding three mapped pages costs host work in proportion to the
+// mapped pages, not the range, and removes exactly those three.
+func TestUnmapHugeRangeWalksMappedPages(t *testing.T) {
+	as := NewAddressSpace()
+	// The range is [2^32, 2^32+2^44): its first and last pages, one in
+	// the middle, and the pages just outside either end.
+	inside := []uint64{0x1_0000_0000, 0x800_0000_0000, 0x1000_ffff_f000}
+	outside := []uint64{0xffff_f000, 0x1001_0000_0000}
+	for _, a := range append(append([]uint64{}, inside...), outside...) {
+		if err := as.MapFixed(a, PageSize, ProtRW); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := time.Now()
+	if err := as.Unmap(0x1_0000_0000, 1<<44); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("unmap of 2^44 bytes took %v, want < 1s", d)
+	}
+	var b [1]byte
+	for _, a := range inside {
+		if err := as.ReadAt(a, b[:]); err == nil {
+			t.Errorf("page %#x inside the range survived", a)
+		}
+	}
+	for _, a := range outside {
+		if err := as.ReadAt(a, b[:]); err != nil {
+			t.Errorf("page %#x outside the range was removed: %v", a, err)
+		}
+	}
+	if _, err := as.MapAnon(MaxPages*PageSize+1, ProtRW); !errors.Is(err, ErrNoMem) {
+		t.Errorf("map past MaxPages: got %v, want ErrNoMem", err)
 	}
 }
 

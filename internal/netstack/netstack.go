@@ -183,62 +183,7 @@ type Stack struct {
 	faults   FaultPlan
 
 	stats StackStats
-
-	// hub is the stack's activity signal: a generation counter bumped on
-	// every event that could unblock a parked scheduler (data written or
-	// drained, a connection enqueued or closed, virtual time advanced).
-	// Kernel.Run parks on it instead of busy-spinning when every task is
-	// blocked but an external driver still holds a waiter registration.
-	hub activityHub
 }
-
-// activityHub is a lost-wakeup-free park/notify primitive. A waiter
-// captures the generation BEFORE scanning for work; if the scan comes up
-// empty it parks on that generation, and any bump() after the capture —
-// even one that raced with the scan — leaves gen != captured, so await
-// returns immediately instead of sleeping through the event.
-type activityHub struct {
-	gen     atomic.Uint64
-	waiters atomic.Int32
-	mu      sync.Mutex
-	cond    *sync.Cond
-}
-
-func (h *activityHub) bump() {
-	h.gen.Add(1)
-	if h.waiters.Load() != 0 {
-		h.mu.Lock()
-		if h.cond != nil {
-			h.cond.Broadcast()
-		}
-		h.mu.Unlock()
-	}
-}
-
-func (h *activityHub) await(old uint64) {
-	h.mu.Lock()
-	if h.cond == nil {
-		h.cond = sync.NewCond(&h.mu)
-	}
-	h.waiters.Add(1)
-	for h.gen.Load() == old {
-		h.cond.Wait()
-	}
-	h.waiters.Add(-1)
-	h.mu.Unlock()
-}
-
-// ActivityGen returns the current activity generation. Capture it before
-// scanning for runnable work; pass it to AwaitActivity if the scan finds
-// none.
-func (s *Stack) ActivityGen() uint64 { return s.hub.gen.Load() }
-
-// AwaitActivity parks until the activity generation moves past old.
-func (s *Stack) AwaitActivity(old uint64) { s.hub.await(old) }
-
-// BumpActivity signals activity from outside the stack (the kernel's
-// clock advance, an external waiter releasing its registration).
-func (s *Stack) BumpActivity() { s.hub.bump() }
 
 // AnyPendingAccepts reports whether any listener in the stack has a
 // non-empty accept queue. The parallel scheduler calls it at round start
@@ -331,7 +276,6 @@ func (s *Stack) Connect(port uint16) (*Endpoint, error) {
 	client, server := newPair()
 	client.faults, server.faults = faults, faults
 	client.stats, server.stats = &s.stats, &s.stats
-	client.hub, server.hub = &s.hub, &s.hub
 	// Every Connect caller in the tree is host-side (load generators,
 	// balancer upstreams, health probes) — guests only listen/accept.
 	// Marked before enqueue publishes the pair, so the guest side can
@@ -383,7 +327,6 @@ func (l *Listener) enqueue(e *Endpoint) error {
 	l.mu.Unlock()
 	stats.setMax(&stats.AcceptHighWater, depth)
 	l.notif.wake()
-	l.stack.hub.bump()
 	return nil
 }
 
@@ -483,11 +426,6 @@ type Endpoint struct {
 	// stats points at the owning stack's counters (nil for pipes).
 	stats *StackStats
 
-	// hub points at the owning stack's activity hub (nil for pipes —
-	// pipes are guest-driven, so a parked scheduler can never be waiting
-	// on pipe activity). Read/Write/Close bump it.
-	hub *activityHub
-
 	// hostSide marks endpoints owned by host-side harness code (set by
 	// Stack.Connect before the pair is published). sharedFork is set
 	// when a descriptor referencing this endpoint is duplicated across a
@@ -540,15 +478,6 @@ func (e *Endpoint) StampPeerTraceCtx(ctx uint64) {
 	e.mu.Unlock()
 	if p != nil {
 		p.traceCtx.Store(ctx)
-	}
-}
-
-// bumpHub signals stack-level activity (no-op for pipes). Called on
-// every transition that could satisfy a parked scheduler's wait: data
-// moved in either direction, a close, a reset.
-func (e *Endpoint) bumpHub() {
-	if e.hub != nil {
-		e.hub.bump()
 	}
 }
 
@@ -610,7 +539,6 @@ func (e *Endpoint) Read(p []byte) (int, error) {
 		// Our buffer drained: the peer may be writable again.
 		peer.notif.wake()
 	}
-	e.bumpHub()
 	return n, nil
 }
 
@@ -677,7 +605,6 @@ func (e *Endpoint) Write(p []byte) (int, error) {
 		e.mu.Unlock()
 		// Accepted into the send buffer; the peer is woken only when a
 		// segment is actually delivered (by its poll-driven ticks).
-		e.bumpHub()
 		return n, nil
 	}
 	e.mu.Unlock()
@@ -690,7 +617,6 @@ func (e *Endpoint) Write(p []byte) (int, error) {
 		e.stats.setMax(&e.stats.RecvHighWater, depth)
 	}
 	peer.notif.wake()
-	e.bumpHub()
 	return n, nil
 }
 
@@ -754,7 +680,6 @@ func (e *Endpoint) injectReset() {
 	if peer != nil {
 		peer.notif.wake()
 	}
-	e.bumpHub()
 }
 
 // ConnID returns the connection id assigned when the connection was
@@ -811,7 +736,6 @@ func (e *Endpoint) Close() {
 	if peer != nil {
 		peer.notif.wake()
 	}
-	e.bumpHub()
 }
 
 func (e *Endpoint) isClosed() bool {

@@ -385,7 +385,8 @@ type Config struct {
 	TraceSeed uint64
 	// Cores is the host-parallelism budget for the kernel's scheduler
 	// (DESIGN.md §15). Result is byte-identical for every value; only
-	// wall-clock time changes. <= 1 selects the sequential scheduler.
+	// wall-clock time changes. <= 1 runs every scheduling round with
+	// zero shards, each quantum on the round loop itself.
 	Cores int
 	// Stats, when non-nil, receives execution diagnostics after the run.
 	// Purely observational: it never feeds back into Result.

